@@ -1061,6 +1061,11 @@ class CertificateError(ValueError):
     pass
 
 
+_MODES = ("reversible", "involutive")
+_FACTOR_KINDS = ("reversible", "involution", "order4-reversible", "linear")
+_WITNESS_KINDS = ("reverser", "involutive_reverser", "involution_self")
+
+
 def _digest(payload: dict) -> str:
     body = {k: v for k, v in payload.items() if k != "digest"}
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
@@ -1118,6 +1123,14 @@ def certificate_factorization(cert: dict) -> Factorization:
         )
     except (KeyError, ValueError) as exc:
         raise CertificateError(f"malformed certificate body: {exc}") from None
+    # an unknown value must not fall through to some default check
+    if cert["mode"] not in _MODES:
+        raise CertificateError(f"unknown mode {cert['mode']!r}")
+    for k, f in enumerate(factors, 1):
+        if f.kind not in _FACTOR_KINDS:
+            raise CertificateError(f"factor {k}: unknown kind {f.kind!r}")
+        if f.witness.kind not in _WITNESS_KINDS:
+            raise CertificateError(f"factor {k}: unknown witness kind {f.witness.kind!r}")
     return Factorization(target, cert["mode"], factors, tuple(cert["trace"]))
 
 

@@ -9,50 +9,48 @@ The field contains exactly the 12th roots of unity (it is the 12th
 cyclotomic field), which is what the factorization pipelines need for
 reverser seeds; nothing here ever falls back to floating point.
 
-Rationals are gmpy2.mpq when gmpy2 is importable, fractions.Fraction
-otherwise.  Both are exact and interoperate with int transparently.
+An element is stored as four Python-int numerators over one positive
+common denominator, (p + q*i + r*r3 + s*i*r3) / den, in lowest terms:
+gcd(p, q, r, s, den) == 1, and zero is stored as (0, 0, 0, 0) over 1.
+The normal form is unique, so equality and hashing are structural.  A
+product costs 16 integer multiplications and one gcd, and a sum over
+equal denominators needs no cross-multiplication.  This is the only
+arithmetic path; there is no optional accelerator.
 """
 
 from __future__ import annotations
 
 import math
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
-
 from fractions import Fraction
-
-_RAT_TYPES = (int, Fraction, type(Rat(0)))
-
-_R0 = Rat(0)
-_R1 = Rat(1)
+from math import gcd, lcm
 
 
 class FieldExtensionError(ValueError):
     """Raised when a result would leave Q(i, r3)."""
 
 
+def _exact(x):
+    """x as an int or a Fraction; floats are refused."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; exact arithmetic needs ints or Fractions")
+    return Fraction(x)
+
+
 def rat(p, q=1):
-    """Build an exact rational."""
-    return Rat(p, q)
-
-
-def _is_rat(x) -> bool:
-    return isinstance(x, _RAT_TYPES)
+    """Build an exact rational, a fractions.Fraction; floats are refused."""
+    return Fraction(_exact(p), _exact(q))
 
 
 def _rat_sqrt(r):
     """Exact square root of a nonnegative rational, or None."""
     if r < 0:
         return None
-    if r == 0:
-        return _R0
     p, q = r.numerator, r.denominator
     sp, sq = math.isqrt(int(p)), math.isqrt(int(q))
     if sp * sp == p and sq * sq == q:
-        return Rat(sp, sq)
+        return Fraction(sp, sq)
     return None
 
 
@@ -66,10 +64,10 @@ def _qi_sqrt(p, q):
     if q == 0:
         s = _rat_sqrt(p)
         if s is not None:
-            return (s, _R0)
+            return (s, Fraction(0))
         s = _rat_sqrt(-p)
         if s is not None:
-            return (_R0, s)
+            return (Fraction(0), s)
         return None
     n = _rat_sqrt(p * p + q * q)
     if n is None:
@@ -81,164 +79,136 @@ def _qi_sqrt(p, q):
     return (u, v)
 
 
+def _coordinate(k, unit):
+    return property(
+        lambda self: Fraction(self._v[k], self._v[4]),
+        doc=f"The rational coordinate of {unit}, as a Fraction.",
+    )
+
+
 class Scalar:
     """An element a + b*i + c*r3 + d*i*r3 of Q(i, r3).
 
     Parameters
     ----------
     a, b, c, d :
-        Rational coordinates with respect to the basis (1, i, r3, i*r3).
-        Anything accepted by the rational constructor works.
+        Rational coordinates with respect to the basis (1, i, r3, i*r3):
+        ints, Fractions, or anything else ``fractions.Fraction`` takes
+        alone.  Floats are refused with TypeError.
 
     Notes
     -----
-    Instances are immutable and normalized (the rational type keeps
-    numerator/denominator reduced), so equality and hashing are structural.
-    Arithmetic with plain ints, Fractions and mpq values is supported and
-    produces Scalars.
+    ``_v`` holds the normal form (p, q, r, s, den) described in the module
+    docstring; the coordinates a, b, c, d are read-only Fraction views of
+    it.  Instances are immutable.  Arithmetic with plain ints and
+    Fractions is supported and produces Scalars.
     """
 
-    __slots__ = ("a", "b", "c", "d", "_rational")
+    __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", Rat(a))
-        object.__setattr__(self, "b", Rat(b))
-        object.__setattr__(self, "c", Rat(c))
-        object.__setattr__(self, "d", Rat(d))
-        object.__setattr__(
-            self, "_rational", self.b == 0 and self.c == 0 and self.d == 0
-        )
-
-    @classmethod
-    def _new(cls, a, b, c, d):
-        # internal fast path: trusts that the arguments are already Rat
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_rational", b == 0 and c == 0 and d == 0)
-        return self
+        coords = [_exact(x) for x in (a, b, c, d)]
+        den = lcm(*(x.denominator for x in coords))
+        # each coordinate is reduced, so the common numerators and den
+        # already have gcd 1
+        _set(self, tuple(x.numerator * (den // x.denominator) for x in coords) + (den,))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    a = _coordinate(0, "1")
+    b = _coordinate(1, "i")
+    c = _coordinate(2, "r3")
+    d = _coordinate(3, "i*r3")
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self._rational
+        return self._v == (0, 0, 0, 0, 1)
 
     def is_one(self) -> bool:
-        return self.a == 1 and self._rational
+        return self._v == (1, 0, 0, 0, 1)
 
     def is_rational(self) -> bool:
-        return self._rational
+        v = self._v
+        return not (v[1] or v[2] or v[3])
 
     def rational(self):
-        """Return self as a bare rational; raises if the imaginary or
+        """Return self as a bare Fraction; raises if the imaginary or
         radical parts are nonzero."""
-        if not self._rational:
+        if not self.is_rational():
             raise FieldExtensionError(f"{self} is not rational")
-        return self.a
+        return Fraction(self._v[0], self._v[4])
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if _is_rat(other):
-            return Scalar._new(Rat(other), _R0, _R0, _R0)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _vec(other)
         if o is None:
             return NotImplemented
-        return Scalar._new(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        p, q, r, s, m = self._v
+        e, f, g, h, n = o
+        if m == n:
+            return _make(p + e, q + f, r + g, s + h, m)
+        return _make(p * n + e * m, q * n + f * m, r * n + g * m, s * n + h * m, m * n)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _vec(other)
         if o is None:
             return NotImplemented
-        return Scalar._new(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        return self + -_wrap(o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self.__neg__().__add__(other)
 
     def __neg__(self):
-        return Scalar._new(-self.a, -self.b, -self.c, -self.d)
+        p, q, r, s, m = self._v
+        return _wrap((-p, -q, -r, -s, m))
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _vec(other)
         if o is None:
             return NotImplemented
-        if self._rational:
-            r = self.a
-            return Scalar._new(r * o.a, r * o.b, r * o.c, r * o.d)
-        if o._rational:
-            r = o.a
-            return Scalar._new(self.a * r, self.b * r, self.c * r, self.d * r)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
-        # (a+bi+cr+dir)(e+fi+gr+hir) with i^2=-1, r^2=3
-        return Scalar._new(
-            a * e - b * f + 3 * (c * g - d * h),
-            a * f + b * e + 3 * (c * h + d * g),
-            a * g + c * e - b * h - d * f,
-            a * h + d * e + b * g + c * f,
-        )
+        return _make(*_product(self._v, o))
 
     __rmul__ = __mul__
 
-    def conj_i(self) -> "Scalar":
-        """Galois conjugate sending i to -i."""
-        return Scalar._new(self.a, -self.b, self.c, -self.d)
-
-    def conj_r3(self) -> "Scalar":
-        """Galois conjugate sending r3 to -r3."""
-        return Scalar._new(self.a, self.b, -self.c, -self.d)
-
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse via the field norm.
+        """Multiplicative inverse via the field norm, in integers.
 
-        The product of all four Galois conjugates is rational, so the
-        inverse is (product of the other three conjugates) / norm.
+        With A = p + q*i and B = r + s*i, the numerator is A + B*r3, and
+        (A + B*r3)(A - B*r3) = A^2 - 3*B^2 = C lies in Z[i], so
+        1/(A + B*r3) = (A - B*r3) * conj(C) / |C|^2 with |C|^2 a positive
+        integer.
         """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of 0 in Q(i, r3)")
-        if self._rational:
-            return Scalar._new(_R1 / self.a, _R0, _R0, _R0)
-        g1 = self.conj_i()
-        g2 = self.conj_r3()
-        g3 = g1.conj_r3()
-        num = g1 * g2 * g3
-        norm = (self * num).rational()
-        inv_norm = _R1 / norm
-        return Scalar._new(
-            num.a * inv_norm, num.b * inv_norm, num.c * inv_norm, num.d * inv_norm
+        p, q, r, s, m = self._v
+        if not (q or r or s):
+            if p == 0:
+                raise ZeroDivisionError("inverse of 0 in Q(i, r3)")
+            return _wrap((m if p > 0 else -m, 0, 0, 0, abs(p)))
+        c1 = p * p - q * q - 3 * (r * r - s * s)
+        c2 = 2 * (p * q - 3 * r * s)
+        return _make(
+            m * (p * c1 + q * c2),
+            m * (q * c1 - p * c2),
+            -m * (r * c1 + s * c2),
+            m * (r * c2 - s * c1),
+            c1 * c1 + c2 * c2,
         )
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _vec(other)
         if o is None:
             return NotImplemented
-        if o._rational:
-            if o.a == 0:
-                raise ZeroDivisionError("division by 0 in Q(i, r3)")
-            r = _R1 / o.a
-            return Scalar._new(self.a * r, self.b * r, self.c * r, self.d * r)
-        return self * o.inverse()
+        return self * _wrap(o).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _vec(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _wrap(o) * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -257,15 +227,17 @@ class Scalar:
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _vec(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.c == o.c and self.d == o.d
+        return self._v == o
 
     def __hash__(self):
-        if self._rational:
-            return hash(self.a)
-        return hash((self.a, self.b, self.c, self.d))
+        # a rational Scalar equals an int or a Fraction, so it hashes like one
+        p, q, r, s, m = self._v
+        if q or r or s:
+            return hash(self._v)
+        return hash(p) if m == 1 else hash(Fraction(p, m))
 
     # -- conversion ----------------------------------------------------
 
@@ -274,15 +246,6 @@ class Scalar:
 
     def __str__(self):
         return format_scalar(self)
-
-    def __complex__(self):
-        r3 = math.sqrt(3.0)
-        return complex(
-            float(Fraction(self.a.numerator, self.a.denominator))
-            + r3 * float(Fraction(self.c.numerator, self.c.denominator)),
-            float(Fraction(self.b.numerator, self.b.denominator))
-            + r3 * float(Fraction(self.d.numerator, self.d.denominator)),
-        )
 
     # -- roots ---------------------------------------------------------
 
@@ -301,12 +264,12 @@ class Scalar:
         if B == (0, 0):
             z = _qi_sqrt(*A)
             if z is not None:
-                root = Scalar._new(z[0], z[1], _R0, _R0)
+                root = Scalar(z[0], z[1])
             else:
                 # maybe the root has the shape beta*r3 with beta in Q(i)
                 z = _qi_sqrt(A[0] / 3, A[1] / 3)
                 if z is not None:
-                    root = Scalar._new(_R0, _R0, z[0], z[1])
+                    root = Scalar(0, 0, z[0], z[1])
         else:
             # alpha^2 + 3 beta^2 = A and 2 alpha beta = B force alpha^2 to
             # satisfy 4 s^2 - 4 A s + 3 B^2 = 0 over Q(i).
@@ -324,18 +287,66 @@ class Scalar:
                     den = 2 * (alpha[0] * alpha[0] + alpha[1] * alpha[1])
                     br = (B[0] * alpha[0] + B[1] * alpha[1]) / den
                     bi = (B[1] * alpha[0] - B[0] * alpha[1]) / den
-                    cand = Scalar._new(alpha[0], alpha[1], br, bi)
+                    cand = Scalar(alpha[0], alpha[1], br, bi)
                     if cand * cand == self:
                         root = cand
                         break
         if root is None:
             return None
-        for coord in (root.a, root.b, root.c, root.d):
-            if coord > 0:
+        for num in root._v[:4]:
+            if num > 0:
                 return root
-            if coord < 0:
+            if num < 0:
                 return -root
         return root
+
+
+_new = object.__new__
+_set = Scalar._v.__set__  # the one writer of the slot, past __setattr__
+
+
+def _wrap(v) -> Scalar:
+    # trusts v to be a normal-form tuple (p, q, r, s, den)
+    x = _new(Scalar)
+    _set(x, v)
+    return x
+
+
+def _make(p, q, r, s, den) -> Scalar:
+    """The Scalar (p + q*i + r*r3 + s*i*r3) / den, for ints with den > 0;
+    the series layer builds its sums of products with it."""
+    g = gcd(den, p, q, r, s)
+    x = _new(Scalar)
+    _set(x, (p, q, r, s, den) if g == 1 else (p // g, q // g, r // g, s // g, den // g))
+    return x
+
+
+def _product(x, y):
+    """The product of two normal-form tuples, (p, q, r, s, den) but not
+    reduced; the series layer sums these before reducing."""
+    p, q, r, s, m = x
+    e, f, g, h, n = y
+    if not (q or r or s):
+        return p * e, p * f, p * g, p * h, m * n
+    if not (f or g or h):
+        return p * e, q * e, r * e, s * e, m * n
+    # (p+qi+r*r3+s*i*r3)(e+fi+g*r3+h*i*r3) with i^2=-1, r3^2=3
+    return (
+        p * e - q * f + 3 * (r * g - s * h),
+        p * f + q * e + 3 * (r * h + s * g),
+        p * g + r * e - q * h - s * f,
+        p * h + s * e + q * g + r * f,
+        m * n,
+    )
+
+
+def _vec(x):
+    """The normal-form tuple of a Scalar, an int or a Fraction, else None."""
+    if isinstance(x, Scalar):
+        return x._v
+    if isinstance(x, (int, Fraction)):
+        return (x.numerator, 0, 0, 0, x.denominator)
+    return None
 
 
 ZERO = Scalar(0)
@@ -348,7 +359,8 @@ def scalar(x) -> Scalar:
     """Coerce a rational-like or Scalar to Scalar."""
     if isinstance(x, Scalar):
         return x
-    return Scalar(x)
+    v = _vec(x)
+    return Scalar(x) if v is None else _wrap(v)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +368,14 @@ def scalar(x) -> Scalar:
 
 # zeta = (r3 + i)/2 is a primitive 12th root of unity; the field contains
 # exactly the 12th roots and no others.
-ZETA12 = Scalar(0, Rat(1, 2), Rat(1, 2), 0)
+ZETA12 = Scalar(0, rat(1, 2), rat(1, 2), 0)
 
 TWELFTH_ROOTS = tuple(ZETA12**k for k in range(12))
 
 
 def root_of_unity_order(x: Scalar):
     """The multiplicative order of x if it is a root of unity, else None."""
-    if not isinstance(x, Scalar):
-        x = scalar(x)
+    x = scalar(x)
     if x.is_zero():
         return None
     p = x
@@ -393,16 +404,11 @@ def reverser_seeds(p: int):
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_UNITS = {"": (0,), "i": (1,), "r3": (2,), "i*r3": (3,)}
 _UNIT_NAMES = ("", "i", "r3", "i*r3")
 
 
 class ScalarFormatError(ValueError):
     """Raised for malformed scalar text."""
-
-
-def _format_rat(r) -> str:
-    return str(r)
 
 
 def format_scalar(x: Scalar) -> str:
@@ -411,14 +417,18 @@ def format_scalar(x: Scalar) -> str:
     Examples: ``1/2``, ``-1/2*i``, ``1 + 1*i``, ``-3/6 + 1/6*r3``  (the
     last would of course print reduced as ``-1/2 + 1/6*r3``).
     """
+    *nums, den = x._v
     parts = []
-    for coord, unit in zip((x.a, x.b, x.c, x.d), _UNIT_NAMES):
-        if coord == 0:
+    for num, unit in zip(nums, _UNIT_NAMES):
+        if num == 0:
             continue
-        body = _format_rat(coord if coord > 0 else -coord)
+        g = gcd(num, den)
+        body = str(abs(num) // g)
+        if den != g:
+            body += f"/{den // g}"
         if unit:
             body += "*" + unit
-        parts.append(("-" if coord < 0 else "+", body))
+        parts.append(("-" if num < 0 else "+", body))
     if not parts:
         return "0"
     sign, body = parts[0]
@@ -434,11 +444,11 @@ def _parse_term(term: str):
         raise ScalarFormatError(f"empty term in scalar: {term!r}")
     head = pieces[0]
     if head in ("i", "r3"):
-        coeff = _R1
+        coeff = 1
         units = pieces
     else:
         try:
-            coeff = Rat(head)
+            coeff = Fraction(head)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarFormatError(f"bad rational {head!r}") from exc
         units = pieces[1:]
@@ -453,12 +463,14 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the textual scalar format.
 
     Accepts sums of terms ``p/q``, ``p/q*i``, ``p/q*r3``, ``p/q*i*r3``
-    joined by + and -; bare ``i`` and ``r3`` are allowed as terms.
+    joined by + and -; bare ``i`` and ``r3`` are allowed as terms.  A
+    rational ``p/q`` is anything ``fractions.Fraction`` parses from a
+    string, such as ``3``, ``-1/2``, ``1.5`` or ``1e2``.
     """
     s = text.strip()
     if not s:
         raise ScalarFormatError("empty scalar text")
-    coords = [_R0, _R0, _R0, _R0]
+    coords = [0, 0, 0, 0]
     # split into signed terms at top level
     terms = []
     sign = 1
@@ -486,19 +498,6 @@ def parse_scalar(text: str) -> Scalar:
 
 # ---------------------------------------------------------------------------
 # quadratics
-
-def scalar_arith(op: str, x, y) -> Scalar:
-    """Tiny dispatch wrapper (used by the CLI): op in +, -, *, /."""
-    x, y = scalar(x), scalar(y)
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    if op == "/":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def solve_quadratic(a, b, c):

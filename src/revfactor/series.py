@@ -12,7 +12,10 @@ graded: total degree first, then lexicographic on the exponent tuple.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar, format_scalar, parse_scalar, scalar
+from math import lcm
+from operator import add
+
+from .scalars import ZERO, Scalar, _make, _product, format_scalar, parse_scalar, scalar
 
 
 class TruncationMismatch(ValueError):
@@ -189,32 +192,18 @@ class Series:
         if not self.coeffs or not other.coeffs:
             return self._raw({})
         N = self.trunc
-        # bucket the shorter operand by degree for pruning
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        b_by_deg: dict[int, list] = {}
-        for e, v in b.items():
-            b_by_deg.setdefault(sum(e), []).append((e, v))
-        out: dict = {}
-        for ea, va in a.items():
-            da = sum(ea)
-            for db, items in b_by_deg.items():
-                if da + db > N:
-                    continue
-                for eb, vb in items:
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    w = va * vb
-                    cur = out.get(key)
-                    if cur is None:
-                        out[key] = w
-                    else:
-                        cur = cur + w
-                        if cur.is_zero():
-                            del out[key]
-                        else:
-                            out[key] = cur
-        return self._raw(out)
+        # the longer operand with its degrees, for pruning at N
+        b_deg = [(eb, sum(eb), y) for eb, y in b.items()]
+        acc: dict = {}
+        for ea, x in a.items():
+            room = N - sum(ea)
+            terms = [(tuple(map(add, ea, eb)), y) for eb, deg, y in b_deg if deg <= room]
+            if terms:
+                _accumulate(acc, x._v, terms)
+        return self._raw(_normalized(acc))
 
     __rmul__ = __mul__
 
@@ -273,6 +262,40 @@ class Series:
 
 
 # ---------------------------------------------------------------------------
+# raw numerator arithmetic: a sum of products accumulates on the integer
+# numerators of its terms and is normalized once, into one Scalar
+
+
+def _accumulate(acc: dict, x, terms) -> None:
+    """acc[key] += x * y for every (key, y) in terms.
+
+    x is the normal-form tuple (p, q, r, s, den) of a Scalar and each y a
+    Scalar; acc maps keys to lists [p, q, r, s, den] of integer sums over
+    a common denominator, the lcm of the terms' denominators.
+    """
+    for key, y in terms:
+        P, Q, R, S, n = _product(x, y._v)
+        t = acc.get(key)
+        if t is None:
+            acc[key] = [P, Q, R, S, n]
+        elif t[4] == n:
+            t[0] += P
+            t[1] += Q
+            t[2] += R
+            t[3] += S
+        else:
+            # bring the sum and the term over the lcm of their denominators
+            l = lcm(t[4], n)
+            u, w = l // t[4], l // n
+            t[:] = [t[0] * u + P * w, t[1] * u + Q * w, t[2] * u + R * w, t[3] * u + S * w, l]
+
+
+def _normalized(acc: dict) -> dict:
+    """The nonzero sums of acc as Scalars."""
+    return {key: _make(*t) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
+
+
+# ---------------------------------------------------------------------------
 # composition
 
 
@@ -326,22 +349,10 @@ def compose(f: Series, args, memo=None) -> Series:
 
     acc: dict = {}
     for e, coeff in f.coeffs.items():
-        if sum(x * m for x, m in zip(e, mins)) > N:
-            continue
-        term = value(e)
-        for key, v in term.coeffs.items():
-            w = coeff * v
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = w
-            else:
-                cur = cur + w
-                if cur.is_zero():
-                    del acc[key]
-                else:
-                    acc[key] = cur
+        if sum(x * m for x, m in zip(e, mins)) <= N:
+            _accumulate(acc, coeff._v, value(e).coeffs.items())
     out = Series(proto.nvars, N)
-    out.coeffs = {e: v for e, v in acc.items() if not v.is_zero()}
+    out.coeffs = _normalized(acc)
     return out
 
 

@@ -27,6 +27,7 @@ from revfactor.structure import (
 )
 from revfactor.factor import (
     CertificateError,
+    _digest,
     Factor,
     FactorObstruction,
     Factorization,
@@ -546,6 +547,23 @@ def test_certificate_rejects_malformed_body():
     cert["factors"][0]["map"] = "map n=2 N=6 { broken"
     with pytest.raises(CertificateError):
         certificate_factorization(cert)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("mode",), ("factors", 0, "kind"), ("factors", 0, "witness", "kind")],
+    ids=["mode", "factor-kind", "witness-kind"],
+)
+def test_certificate_rejects_unknown_enum_values(path):
+    cert = certificate(factor_reversibles(parse_map(INSTANCES[0][1])))
+    assert verify_certificate(cert).ok
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "banana"
+    cert["digest"] = _digest(cert)
+    with pytest.raises(CertificateError, match="banana"):
+        verify_certificate(cert)
 
 
 # ---------------------------------------------------------------------------

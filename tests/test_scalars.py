@@ -1,5 +1,7 @@
 """Tests for exact field arithmetic in Q(i, r3)."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -154,3 +156,131 @@ def test_interop_with_plain_rationals():
     assert (2 - x) == Scalar(2, -1)
     assert x / 2 == Scalar(0, Fraction(1, 2))
     assert 2 / Scalar(2) == ONE
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Scalar(0.1)
+    with pytest.raises(TypeError):
+        Scalar(1, 0, 0, 2.5)
+    with pytest.raises(TypeError):
+        rat(0.5)
+    with pytest.raises(TypeError):
+        rat(1, 2.0)
+    with pytest.raises(TypeError):
+        ONE + 0.5
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("-1/2*i", Scalar(0, Fraction(-1, 2))),
+        ("1.5", Scalar(Fraction(3, 2))),
+        ("1e2", Scalar(100)),
+        pytest.param(
+            "1_000",
+            Scalar(1000),
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11),
+                reason="Fraction parses underscores from Python 3.11 on",
+            ),
+        ),
+        ("2/4*r3 - r3*i", Scalar(0, 0, Fraction(1, 2), -1)),
+        ("1/0", None),
+        ("1//2", None),
+        ("nan", None),
+        ("+", None),
+    ],
+)
+def test_parse_scalar_grammar(text, value):
+    if value is None:
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+    else:
+        assert parse_scalar(text) == value
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a Fraction-coordinate reference
+
+
+class Ref:
+    """a + b*i + c*r3 + d*i*r3 with four Fraction coordinates."""
+
+    def __init__(self, a, b, c, d):
+        self.v = tuple(Fraction(x) for x in (a, b, c, d))
+
+    def __add__(self, o):
+        return Ref(*(x + y for x, y in zip(self.v, o.v)))
+
+    def __sub__(self, o):
+        return Ref(*(x - y for x, y in zip(self.v, o.v)))
+
+    def __mul__(self, o):
+        a, b, c, d = self.v
+        e, f, g, h = o.v
+        return Ref(
+            a * e - b * f + 3 * (c * g - d * h),
+            a * f + b * e + 3 * (c * h + d * g),
+            a * g + c * e - b * h - d * f,
+            a * h + d * e + b * g + c * f,
+        )
+
+    def inverse(self):
+        # the product of the three other Galois conjugates over the norm
+        a, b, c, d = self.v
+        num = Ref(a, -b, c, -d) * Ref(a, b, -c, -d) * Ref(a, -b, -c, d)
+        norm = (self * num).v[0]
+        return Ref(*(x / norm for x in num.v))
+
+    def __pow__(self, k):
+        base = self if k >= 0 else self.inverse()
+        out = Ref(1, 0, 0, 0)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+
+def ref(x):
+    return Ref(x.a, x.b, x.c, x.d)
+
+
+def assert_normal_form(x):
+    p, q, r, s, den = x._v
+    assert den > 0
+    assert math.gcd(den, p, q, r, s) == 1
+    if not (p or q or r or s):
+        assert x._v == (0, 0, 0, 0, 1)
+
+
+mixed_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=60)
+coords = st.tuples(mixed_rationals, mixed_rationals, mixed_rationals, mixed_rationals)
+
+
+@given(coords, coords, st.integers(min_value=-3, max_value=3))
+@settings(max_examples=200)
+def test_kernel_matches_fraction_reference(u, w, k):
+    x, y = Scalar(*u), Scalar(*w)
+    rx, ry = Ref(*u), Ref(*w)
+    assert ref(x).v == rx.v
+    results = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, Ref(0, 0, 0, 0) - rx)]
+    if not x.is_zero():
+        results += [(x.inverse(), rx.inverse()), (y / x, ry * rx.inverse()), (x**k, rx**k)]
+    for got, want in results:
+        assert_normal_form(got)
+        assert ref(got).v == want.v
+
+
+@given(mixed_rationals, mixed_rationals)
+@settings(max_examples=100)
+def test_rational_scalars_equal_and_hash_like_rationals(r, t):
+    x = Scalar(r)
+    assert x.is_rational() and x.rational() == r
+    assert x == r and hash(x) == hash(r)
+    if r.denominator == 1:
+        assert x == int(r) and hash(x) == hash(int(r))
+    assert len({x, r, Scalar(r)}) == 1
+    z = Scalar(r, t)
+    assert (z == r) == (t == 0)
+    assert_normal_form(z)
+    assert_normal_form(Scalar(0) * z)
