@@ -22,13 +22,15 @@ degree above what an input carries is refused, since the file does not
 claim that much.  ``verify`` defaults to the certificate's own degree.
 
 Exit codes: 0 success, 1 a verification check failed, 2 malformed or
-inconsistent input, 3 a mathematical obstruction was reported.
+inconsistent input, 3 a mathematical obstruction was reported, 4 an
+internal error (a bug in revfactor, not a verdict on the input).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .bounds import compute_bounds, compute_involution_bounds, table_text
@@ -57,6 +59,7 @@ OK = 0
 VERIFY_FAILED = 1
 INPUT_ERROR = 2
 OBSTRUCTION = 3
+INTERNAL_ERROR = 4
 
 
 class CliError(Exception):
@@ -344,6 +347,16 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except Exception as exc:
+        # a bug, not a verdict on the input: report where it was raised and
+        # never exit 1, which would read as a failed verification
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc}"
+            f" (raised at {Path(where.filename).name}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -178,13 +178,10 @@ def _materialize_spec(spec, m: FormalMap) -> FormalMap:
     if isinstance(spec, DressSpec):
         # A SELF inner spec refers to the undressed map, so strip the
         # dressing before materializing and put it back afterwards.
-        undressed = map_compose(
-            map_compose(map_invert(spec.dress), m), spec.dress
-        )
+        inv = map_invert(spec.dress)
+        undressed = map_compose(map_compose(inv, m), spec.dress)
         inner = _materialize_spec(spec.inner, undressed)
-        return map_compose(
-            map_compose(spec.dress, inner), map_invert(spec.dress)
-        )
+        return map_compose(map_compose(spec.dress, inner), inv)
     raise TypeError(f"unknown witness spec {spec!r}")
 
 
@@ -243,8 +240,9 @@ def unit_pairing_perm(m: FormalMap):
         else:
             return None
     perm = tuple(perm)
+    # P reverses m exactly when m o P o m = P (P is invertible)
     P = FormalMap.permutation(perm, m.trunc)
-    if conjugate(m, P) != map_invert(m):
+    if map_compose(map_compose(m, P), m) != P:
         return None
     return perm
 
@@ -278,22 +276,26 @@ def _lift_piece(piece, n: int):
     return lift_section(m, n), lspec, kind
 
 
-def _dress_piece(piece, K: FormalMap):
-    m, spec, kind = piece
-    return (
-        map_compose(map_compose(K, m), map_invert(K)),
-        DressSpec(K, spec),
-        kind,
-    )
+def _dress_pieces(pieces, K: FormalMap) -> list:
+    """Each piece conjugated to K o m o K^-1, with one inverse of K."""
+    Kinv = map_invert(K)
+    return [
+        (map_compose(map_compose(K, m), Kinv), DressSpec(K, spec), kind)
+        for m, spec, kind in pieces
+    ]
 
 
-def _dress_factor(f: Factor, C: FormalMap) -> Factor:
+def _dress_factors(factors, C: FormalMap) -> list:
+    """Each factor and its witness conjugated to C o f o C^-1, with one
+    inverse of C."""
     Cinv = map_invert(C)
-    m = map_compose(map_compose(C, f.map), Cinv)
-    h = map_compose(map_compose(C, f.witness.h), Cinv)
-    if f.witness.kind == "involution_self":
-        h = m
-    return Factor(m, Witness(f.witness.kind, h, f.witness.checked_degree), f.kind)
+    out = []
+    for f in factors:
+        m = map_compose(map_compose(C, f.map), Cinv)
+        w = f.witness
+        h = m if w.kind == "involution_self" else map_compose(map_compose(C, w.h), Cinv)
+        out.append(Factor(m, Witness(w.kind, h, w.checked_degree), f.kind))
+    return out
 
 
 def _kind_for_witness(w: Witness) -> str:
@@ -558,7 +560,7 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
     if not Phi.is_identity():
         inner.append((Phi, PermSpec(_swap_perm(k)), "reversible"))
     if K is not None:
-        inner = [_dress_piece(p, K) for p in inner]
+        inner = _dress_pieces(inner, K)
     pieces = pre + inner
     prod = FormalMap.identity(k, N)
     for m, _, _ in pieces:
@@ -654,7 +656,8 @@ def reduce_to_centralizer(F: FormalMap):
     if not W.linear_part().is_diagonal():
         K0 = FormalMap.from_linear(_triangular_eigenbasis(W.linear_part()), N)
         W = conjugate(W, K0)
-    F2 = conjugate(W, Pinv)  # linear part is T3^sigma, generic and paired
+    # P o W o P^-1, whose linear part is T3^sigma, generic and paired
+    F2 = map_compose(map_compose(P, W), Pinv)
     G, K1, _ = poincare_dulac(F2)
     back = centralizer_membership(G)
     if not back:
@@ -813,10 +816,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     if mult is None:
         G, prefix, C, _sigma = reduce_to_centralizer(W)
         trace.append("split the diagonal and rebalanced to a generic paired part")
-        factors = prefix + [
-            _dress_factor(f, C) for f in _ambient_factors(G, mode, trace)
-        ]
-        return factors
+        return prefix + _dress_factors(_ambient_factors(G, mode, trace), C)
     pd = PairedDiagonal(mult, n)
     pre = []
     K = None
@@ -862,7 +862,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
         trace.append("fresh-prime rebalance of a non-generic linear part")
     inner = _ambient_factors(G, mode, trace)
     if K is not None:
-        inner = [_dress_factor(f, K) for f in inner]
+        inner = _dress_factors(inner, K)
     return pre + inner
 
 
@@ -926,7 +926,7 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
     if mode == "involutive":
         core = _involutionize(core, N, trace)
     if dress is not None:
-        core = [_dress_factor(f, dress) for f in core]
+        core = _dress_factors(core, dress)
     factors += core
     fz = Factorization(F, mode, tuple(factors), tuple(trace))
     if fz.recompose() != F:  # pragma: no cover - every stage is exact
@@ -1023,10 +1023,12 @@ def verify_factorization(fz: Factorization) -> FactorReport:
         )
     )
     for i, f in enumerate(fz.factors, start=1):
+        # one square serves the involution check and the witness check
+        square = map_compose(f.map, f.map) if fz.mode == "involutive" else None
         checks.append(
             (
                 f"witness {i}/{len(fz.factors)}",
-                verify_witness(f.map, f.witness),
+                verify_witness(f.map, f.witness, square),
                 f"kind {f.kind}, witness {f.witness.kind}",
             )
         )
@@ -1042,7 +1044,7 @@ def verify_factorization(fz: Factorization) -> FactorReport:
             checks.append(
                 (
                     f"involution {i}/{len(fz.factors)}",
-                    is_involution(f.map),
+                    square.is_identity(),
                     "factor squares to the identity",
                 )
             )
@@ -1110,7 +1112,33 @@ def parse_certificate(text: str) -> dict:
     return cert
 
 
+# field name -> JSON type, for the certificate, each factor and each witness
+_CERT_FIELDS = {"mode": str, "degree": int, "target": str, "factors": list, "trace": list}
+_FACTOR_FIELDS = {"map": str, "kind": str, "witness": dict}
+_WITNESS_FIELDS = {"kind": str, "h": str, "degree": int}
+
+
+def _check_fields(node, fields: dict, where: str) -> None:
+    if not isinstance(node, dict):
+        raise CertificateError(f"{where} must be an object")
+    for key, kind in fields.items():
+        if key not in node:
+            raise CertificateError(f"{where} lacks the '{key}' field")
+        value = node[key]
+        # bool is an int subclass, but true is not a degree
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CertificateError(
+                f"{where}: '{key}' must be {kind.__name__}, not {type(value).__name__}"
+            )
+
+
 def certificate_factorization(cert: dict) -> Factorization:
+    _check_fields(cert, _CERT_FIELDS, "certificate")
+    for k, item in enumerate(cert["factors"], 1):
+        _check_fields(item, _FACTOR_FIELDS, f"factor {k}")
+        _check_fields(item["witness"], _WITNESS_FIELDS, f"factor {k} witness")
+    if not all(isinstance(step, str) for step in cert["trace"]):
+        raise CertificateError("'trace' must be a list of strings")
     try:
         target = parse_map(cert["target"])
         factors = tuple(
@@ -1121,16 +1149,32 @@ def certificate_factorization(cert: dict) -> Factorization:
             )
             for item in cert["factors"]
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise CertificateError(f"malformed certificate body: {exc}") from None
     # an unknown value must not fall through to some default check
     if cert["mode"] not in _MODES:
         raise CertificateError(f"unknown mode {cert['mode']!r}")
+    if cert["degree"] != target.trunc:
+        raise CertificateError(
+            f"degree {cert['degree']} differs from the target's N={target.trunc}"
+        )
+    shape = (target.nvars, target.trunc)
     for k, f in enumerate(factors, 1):
         if f.kind not in _FACTOR_KINDS:
             raise CertificateError(f"factor {k}: unknown kind {f.kind!r}")
         if f.witness.kind not in _WITNESS_KINDS:
             raise CertificateError(f"factor {k}: unknown witness kind {f.witness.kind!r}")
+        for name, m in (("map", f.map), ("witness", f.witness.h)):
+            if (m.nvars, m.trunc) != shape:
+                raise CertificateError(
+                    f"factor {k}: {name} has n={m.nvars} N={m.trunc}, "
+                    f"the target n={shape[0]} N={shape[1]}"
+                )
+        if f.witness.checked_degree != target.trunc:
+            raise CertificateError(
+                f"factor {k}: witness degree {f.witness.checked_degree} "
+                f"differs from the target's N={target.trunc}"
+            )
     return Factorization(target, cert["mode"], factors, tuple(cert["trace"]))
 
 

@@ -375,12 +375,33 @@ def apply_linear(M: Matrix, F: FormalMap) -> FormalMap:
     return FormalMap.__new_raw__(F.nvars, F.trunc, tuple(comps))
 
 
+def composite_part(F: FormalMap, G: FormalMap, d: int) -> FormalMap:
+    """The degree-d homogeneous part of F after G (zero elsewhere).
+
+    Neither map has a constant term, so a term of degree above d in F or
+    in G only reaches degrees above d: the part is computed exactly from
+    both maps truncated at d.
+    """
+    N = F.trunc
+    if d < N:
+        F, G = F.truncate(d), G.truncate(d)
+    return FormalMap.__new_raw__(
+        F.nvars,
+        N,
+        tuple(
+            Series(F.nvars, N, c.homogeneous_component(d).coeffs)
+            for c in map_compose(F, G).comps
+        ),
+    )
+
+
 def map_invert(F: FormalMap) -> FormalMap:
     """Compositional inverse, degree by degree.
 
     Starts from the inverse of the linear part and cancels one degree per
     step: if F(G(z)) = z + E_d + O(d+1) then replacing G by
     G - L(F)^{-1} E_d cancels degree d without disturbing lower ones.
+    Step d needs only E_d, the degree-d part of F after G.
     """
     L = F.linear_part()
     try:
@@ -389,8 +410,7 @@ def map_invert(F: FormalMap) -> FormalMap:
         raise ZeroDivisionError("not invertible: singular linear part")
     G = FormalMap.from_linear(Li, F.trunc)
     for d in range(2, F.trunc + 1):
-        err = map_compose(F, G)
-        E = err.homogeneous_part(d)
+        E = composite_part(F, G, d)
         if all(c.is_zero() for c in E.comps):
             continue
         corr = apply_linear(Li, E)

@@ -23,7 +23,16 @@ from dataclasses import dataclass, field
 
 from .scalars import ONE, Scalar, format_scalar
 from .series import Series
-from .maps import FormalMap, Matrix, conjugate, map_compose, map_invert, format_map, parse_map
+from .maps import (
+    FormalMap,
+    Matrix,
+    composite_part,
+    conjugate,
+    format_map,
+    map_compose,
+    map_invert,
+    parse_map,
+)
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,9 @@ class ResonanceReport:
 class Witness:
     """A verified reversing/involutive certificate for a map g.
 
-    kind: 'reverser' (h^{-1} g h = g^{-1}), 'involutive_reverser'
-    (additionally h o h = id), or 'involution_self' (g o g = id, h = g).
+    kind: 'reverser' (h^{-1} g h = g^{-1}, checked as g o h o g = h with
+    h nonsingular), 'involutive_reverser' (additionally h o h = id), or
+    'involution_self' (g o g = id, h = g).
     checked_degree is the truncation degree of the verification.
     """
 
@@ -106,13 +116,24 @@ class Witness:
         return cls(payload["kind"], parse_map(payload["h"]), int(payload["degree"]))
 
 
-def verify_witness(g: FormalMap, w: Witness) -> bool:
-    """Recheck a witness by composition alone (no shared search code)."""
+def verify_witness(g: FormalMap, w: Witness, square: FormalMap | None = None) -> bool:
+    """Recheck a witness by composition alone (no shared search code).
+
+    A reverser is checked as g o h o g = h, which for a nonsingular h is
+    h^{-1} g h = g^{-1} and needs no inverse; a singular h is refused,
+    since the zero map would satisfy the equation for every g.
+    ``square`` is g o g when the caller already has it.
+    """
     if w.kind == "involution_self":
-        return map_compose(g, g).is_identity() and w.h == g
-    ok = map_compose(g, w.h) == map_compose(w.h, map_invert(g))
+        if square is None:
+            square = map_compose(g, g)
+        return w.h == g and square.is_identity()
+    h = w.h
+    if h.linear_part().det().is_zero():
+        return False
+    ok = map_compose(map_compose(g, h), g) == h
     if w.kind == "involutive_reverser":
-        ok = ok and map_compose(w.h, w.h).is_identity()
+        ok = ok and map_compose(h, h).is_identity()
     return ok
 
 
@@ -174,10 +195,10 @@ def poincare_dulac(F: FormalMap):
         (resonant if tag == "resonant" else eliminated).append((j + 1, q, e))
 
     for d in range(2, N + 1):
-        FK, KG = map_compose(F, K), map_compose(K, G)
+        FK, KG = composite_part(F, K, d), composite_part(K, G, d)
         kappa_comps, g_comps = [], []
         for j in range(n):
-            part = (FK.comps[j] - KG.comps[j]).homogeneous_component(d)
+            part = FK.comps[j] - KG.comps[j]
             kappa, gnew = {}, {}
             _solve_step(part.coeffs, lam, j, kappa, gnew, record)
             kappa_comps.append(Series(n, N, kappa))
@@ -212,10 +233,10 @@ def solve_conjugacy(F: FormalMap, G: FormalMap, seed: Matrix | None = None):
         )
     K = FormalMap.identity(n, N)
     for d in range(2, N + 1):
-        FK, KG = map_compose(base, K), map_compose(K, G)
+        FK, KG = composite_part(base, K, d), composite_part(K, G, d)
         kappa_comps = []
         for j in range(n):
-            part = (FK.comps[j] - KG.comps[j]).homogeneous_component(d)
+            part = FK.comps[j] - KG.comps[j]
             kappa: dict = {}
             bad = _solve_step(part.coeffs, lam, j, kappa, None, lambda *a: None)
             if bad is not None:

@@ -4,6 +4,7 @@ import pytest
 
 from revfactor.bounds import compute_bounds, compute_involution_bounds, table_text
 from revfactor.cli import main
+from revfactor.factor import _digest
 from revfactor.maps import FormalMap, conjugate, map_compose, parse_map
 from revfactor.series import Series
 from revfactor.structure import lift_section, make_centralizer
@@ -198,3 +199,74 @@ def test_seeds_flag(tmp_path, capsys):
     capsys.readouterr()
     assert main(["factor", str(g), "--seeds", "1,q"]) == 2
     assert "bad seed list" in capsys.readouterr().err
+
+
+def _redigest(payload):
+    payload["digest"] = _digest(payload)
+    return json.dumps(payload)
+
+
+def test_verify_rejects_a_zero_witness(tmp_path, capsys, fmap):
+    # one factor equal to the target, "reversed" by the zero map
+    cert = tmp_path / "c.json"
+    assert main(["factor", str(fmap), "--out", str(cert)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cert.read_text())
+    payload["factors"] = [
+        {
+            "map": F_TEXT.strip(),
+            "kind": "reversible",
+            "witness": {
+                "kind": "reverser",
+                "h": "map n=2 N=6 { comp1: { } ; comp2: { } }",
+                "degree": 6,
+            },
+        }
+    ]
+    cert.write_text(_redigest(payload))
+    assert main(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  witness 1/1" in out
+    assert "certificate BAD" in out
+
+
+def _lower_witness(payload):
+    w = payload["factors"][0]["witness"]
+    w["h"] = w["h"].replace("N=6", "N=5", 1)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda p: p.update(factors={"a": 1}),
+        lambda p: p.update(trace=5),
+        lambda p: p.update(degree="6"),
+        _lower_witness,
+    ],
+    ids=["factors-object", "trace-number", "degree-string", "witness-at-N5"],
+)
+def test_verify_schema_violation_exits_2(tmp_path, capsys, fmap, mutate):
+    cert = tmp_path / "c.json"
+    assert main(["factor", str(fmap), "--out", str(cert)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cert.read_text())
+    mutate(payload)
+    cert.write_text(_redigest(payload))
+    assert main(["verify", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    import revfactor.cli as cli
+
+    def broken(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "table_text", broken)
+    code = main(["table1"])
+    assert code == cli.INTERNAL_ERROR
+    assert code not in (cli.OK, cli.VERIFY_FAILED, cli.INPUT_ERROR, cli.OBSTRUCTION)
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom (raised at test_cli.py:")
+    assert "Traceback" not in err

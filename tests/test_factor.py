@@ -611,3 +611,95 @@ def test_random_involutive_roundtrip(seed):
     assert fz.recompose() == F
     assert all(is_involution(f.map) for f in fz.factors)
     assert verify_factorization(fz).ok
+
+
+# ---------------------------------------------------------------------------
+# singular witnesses and schema validation
+
+
+def _forged_single_factor(F, h):
+    """A re-digested certificate claiming F is one reversible factor
+    reversed by h."""
+    fz = Factorization(
+        F,
+        "reversible",
+        (Factor(F, Witness("reverser", h, F.trunc), "reversible"),),
+        ("forged",),
+    )
+    return certificate(fz)
+
+
+def _witness_checks(report):
+    return [ok for name, ok, _ in report.checks if name.startswith("witness")]
+
+
+def test_zero_witness_is_rejected():
+    # g o 0 = 0 = 0 o g^-1 holds for every g, so the zero map must fail
+    F = parse_map(INSTANCES[0][1])
+    zero = parse_map("map n=2 N=6 { comp1: { } ; comp2: { } }")
+    report = verify_certificate(_forged_single_factor(F, zero))
+    assert _witness_checks(report) == [False]
+    assert not report.ok
+
+
+def test_singular_nonzero_witness_is_rejected():
+    # h = diag(1, 0) satisfies g o h o g = h and g o h = h o g^-1 for
+    # g = -id, but is not invertible, so it reverses nothing
+    g = _diag_map([-1, -1], 6)
+    h = _diag_map([1, 0], 6)
+    assert map_compose(map_compose(g, h), g) == h
+    assert not verify_witness(g, Witness("reverser", h, 6))
+    report = verify_certificate(_forged_single_factor(g, h))
+    assert _witness_checks(report) == [False]
+
+
+def _set(path, value):
+    def mutate(cert):
+        node = cert
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+def _lower_witness(cert):
+    w = cert["factors"][0]["witness"]
+    w["h"] = format_map(parse_map(w["h"]).truncate(5))
+
+
+def _lower_factor(cert):
+    item = cert["factors"][0]
+    item["map"] = format_map(parse_map(item["map"]).truncate(5))
+
+
+def _widen_witness(cert):
+    cert["factors"][0]["witness"]["h"] = format_map(FormalMap.identity(3, 6))
+
+
+SCHEMA_MUTATIONS = {
+    "witness-at-N5": _lower_witness,
+    "factor-at-N5": _lower_factor,
+    "witness-in-3-variables": _widen_witness,
+    "factors-object": lambda c: c.update(factors={"0": c["factors"][0]}),
+    "factors-of-strings": lambda c: c.update(factors=["map n=2 N=6 { }"]),
+    "factor-without-witness": lambda c: c["factors"][0].pop("witness"),
+    "trace-number": _set(("trace",), 5),
+    "trace-of-numbers": _set(("trace",), ["ok", 5]),
+    "degree-string": _set(("degree",), "6"),
+    "degree-float": _set(("degree",), 6.5),
+    "degree-bool": _set(("degree",), True),
+    "degree-mismatch": _set(("degree",), 5),
+    "witness-degree-string": _set(("factors", 0, "witness", "degree"), "6"),
+    "witness-degree-mismatch": _set(("factors", 0, "witness", "degree"), 7),
+    "target-number": _set(("target",), 7),
+    "witness-h-list": _set(("factors", 0, "witness", "h"), []),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SCHEMA_MUTATIONS))
+def test_certificate_schema_violations_are_malformed(mutation):
+    cert = certificate(factor_reversibles(parse_map(INSTANCES[0][1])))
+    SCHEMA_MUTATIONS[mutation](cert)
+    cert["digest"] = _digest(cert)
+    with pytest.raises(CertificateError):
+        verify_certificate(cert)
