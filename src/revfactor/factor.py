@@ -26,6 +26,7 @@ from .maps import (
     FormalMap,
     Matrix,
     conjugate,
+    conjugate_linear,
     format_map,
     is_involution,
     map_compose,
@@ -285,10 +286,9 @@ def _dress_pieces(pieces, K: FormalMap) -> list:
     ]
 
 
-def _dress_factors(factors, C: FormalMap) -> list:
-    """Each factor and its witness conjugated to C o f o C^-1, with one
-    inverse of C."""
-    Cinv = map_invert(C)
+def _dress_factors(factors, C: FormalMap, Cinv: FormalMap) -> list:
+    """Each factor and its witness conjugated to C o f o Cinv, for Cinv
+    the inverse of C."""
     out = []
     for f in factors:
         m = map_compose(map_compose(C, f.map), Cinv)
@@ -529,8 +529,9 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
         K0 = None
         if not M.linear_part().is_diagonal():
             # trailing-slot shear from resonant pair products
-            K0 = FormalMap.from_linear(_shear_eigenbasis(M.linear_part()), N)
-            M = conjugate(M, K0)
+            E = _shear_eigenbasis(M.linear_part())
+            K0 = FormalMap.from_linear(E, N)
+            M = conjugate_linear(M, E)
         G, K, _ = poincare_dulac(M)
         if K0 is not None:
             K = map_compose(K0, K)
@@ -654,8 +655,9 @@ def reduce_to_centralizer(F: FormalMap):
     W = map_compose(FormalMap.from_linear((T1.matrix() * T2).inverse(), N), F)
     K0 = None
     if not W.linear_part().is_diagonal():
-        K0 = FormalMap.from_linear(_triangular_eigenbasis(W.linear_part()), N)
-        W = conjugate(W, K0)
+        E = _triangular_eigenbasis(W.linear_part())
+        K0 = FormalMap.from_linear(E, N)
+        W = conjugate_linear(W, E)
     # P o W o P^-1, whose linear part is T3^sigma, generic and paired
     F2 = map_compose(map_compose(P, W), Pinv)
     G, K1, _ = poincare_dulac(F2)
@@ -706,7 +708,7 @@ def _s_machine(S: FormalMap, trace) -> list:
     T = balance_matrix()
     Tm = FormalMap.from_linear(T, N)
     L1 = Matrix.diagonal([scalar(2), scalar(rat(1, 2))])
-    M1 = map_compose(FormalMap.from_linear(L1, N), conjugate(S, Tm))
+    M1 = map_compose(FormalMap.from_linear(L1, N), conjugate_linear(S, T))
     N1, K1, _ = poincare_dulac(M1)
     back = centralizer_membership(N1)
     if not back:  # pragma: no cover - resonant terms are paired here
@@ -816,7 +818,9 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     if mult is None:
         G, prefix, C, _sigma = reduce_to_centralizer(W)
         trace.append("split the diagonal and rebalanced to a generic paired part")
-        return prefix + _dress_factors(_ambient_factors(G, mode, trace), C)
+        return prefix + _dress_factors(
+            _ambient_factors(G, mode, trace), C, map_invert(C)
+        )
     pd = PairedDiagonal(mult, n)
     pre = []
     K = None
@@ -837,10 +841,9 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
         K0 = None
         if not M.linear_part().is_diagonal():
             # A leftover triangular part now has distinct eigenvalues.
-            K0 = FormalMap.from_linear(
-                _triangular_eigenbasis(M.linear_part()), N
-            )
-            M = conjugate(M, K0)
+            E = _triangular_eigenbasis(M.linear_part())
+            K0 = FormalMap.from_linear(E, N)
+            M = conjugate_linear(M, E)
         G, K, _ = poincare_dulac(M)
         back = centralizer_membership(G)
         if not back:
@@ -862,7 +865,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
         trace.append("fresh-prime rebalance of a non-generic linear part")
     inner = _ambient_factors(G, mode, trace)
     if K is not None:
-        inner = _dress_factors(inner, K)
+        inner = _dress_factors(inner, K, map_invert(K))
     return pre + inner
 
 
@@ -908,25 +911,26 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
         det = L.det()
     if det != ONE:
         raise ValueError("linear part must have determinant 1 or -1")
-    dress = None
+    E = None
     if not L.is_diagonal():
         if not L.is_upper_triangular():
             raise ValueError("linear part must be diagonal or upper triangular")
         try:
-            K0 = FormalMap.from_linear(_triangular_eigenbasis(L), N)
+            E = _triangular_eigenbasis(L)
         except FactorObstruction:
             # Repeated eigenvalues: the fresh-prime rebalance below makes
             # them distinct, so keep the triangular part and move on.
             trace.append("repeated eigenvalues: deferred to the rebalance step")
         else:
-            work = conjugate(work, K0)
-            dress = K0
+            work = conjugate_linear(work, E)
             trace.append("diagonalized the triangular linear part")
     core = _split_det_one(work, mode, trace)
     if mode == "involutive":
         core = _involutionize(core, N, trace)
-    if dress is not None:
-        core = _dress_factors(core, dress)
+    if E is not None:
+        core = _dress_factors(
+            core, FormalMap.from_linear(E, N), FormalMap.from_linear(E.inverse(), N)
+        )
     factors += core
     fz = Factorization(F, mode, tuple(factors), tuple(trace))
     if fz.recompose() != F:  # pragma: no cover - every stage is exact

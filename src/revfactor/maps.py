@@ -388,10 +388,7 @@ def composite_part(F: FormalMap, G: FormalMap, d: int) -> FormalMap:
     return FormalMap.__new_raw__(
         F.nvars,
         N,
-        tuple(
-            Series(F.nvars, N, c.homogeneous_component(d).coeffs)
-            for c in map_compose(F, G).comps
-        ),
+        tuple(c.homogeneous_component(d).truncate(N) for c in map_compose(F, G).comps),
     )
 
 
@@ -425,6 +422,16 @@ def map_invert(F: FormalMap) -> FormalMap:
 def conjugate(F: FormalMap, K: FormalMap) -> FormalMap:
     """The conjugate K^{-1} after F after K."""
     return map_compose(map_invert(K), map_compose(F, K))
+
+
+def conjugate_linear(F: FormalMap, M: Matrix) -> FormalMap:
+    """The conjugate K^{-1} after F after K for the linear map K with
+    matrix M; K^{-1} comes from the matrix inverse, not from map_invert."""
+    N = F.trunc
+    return map_compose(
+        FormalMap.from_linear(M.inverse(), N),
+        map_compose(F, FormalMap.from_linear(M, N)),
+    )
 
 
 def is_involution(F: FormalMap) -> bool:

@@ -27,7 +27,7 @@ from .maps import (
     FormalMap,
     Matrix,
     composite_part,
-    conjugate,
+    conjugate_linear,
     format_map,
     map_compose,
     map_invert,
@@ -224,7 +224,7 @@ def solve_conjugacy(F: FormalMap, G: FormalMap, seed: Matrix | None = None):
     n, N = F.nvars, F.trunc
     base = F
     if seed is not None:
-        base = conjugate(F, FormalMap.from_linear(seed, N))
+        base = conjugate_linear(F, seed)
     lam = _diagonal_eigenvalues(base)
     if base.linear_part() != G.linear_part():
         return Obstruction(
@@ -264,7 +264,7 @@ def find_reverser(g: FormalMap, seed: Matrix):
             "seed does not reverse the linear part",
         )
     ginv = map_invert(g)
-    U = solve_conjugacy(conjugate(g, FormalMap.from_linear(seed, N)), ginv)
+    U = solve_conjugacy(conjugate_linear(g, seed), ginv)
     if isinstance(U, Obstruction):
         return U
     h = map_compose(FormalMap.from_linear(seed, N), U)

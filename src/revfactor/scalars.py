@@ -21,6 +21,7 @@ arithmetic path; there is no optional accelerator.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -438,25 +439,42 @@ def format_scalar(x: Scalar) -> str:
     return out
 
 
+_UNIT_INDEX = {"": 0, "i": 1, "r3": 2, "i*r3": 3, "r3*i": 3}
+
+
 def _parse_term(term: str):
+    """(basis index, numerator, positive denominator) of one unsigned term."""
     pieces = [p.strip() for p in term.split("*")]
-    if not pieces or not pieces[0]:
+    if not pieces[0]:
         raise ScalarFormatError(f"empty term in scalar: {term!r}")
     head = pieces[0]
     if head in ("i", "r3"):
-        coeff = 1
+        num, den = 1, 1
         units = pieces
     else:
+        # plain p and p/q are read as ints; Fraction reads them alike and
+        # takes every other literal
+        p, slash, q = head.partition("/")
         try:
-            coeff = Fraction(head)
+            if p.isdigit() and (q.isdigit() or not slash):
+                num, den = int(p), int(q or 1)
+                if not den:
+                    raise ZeroDivisionError
+            else:
+                x = Fraction(head)
+                num, den = x.numerator, x.denominator
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarFormatError(f"bad rational {head!r}") from exc
         units = pieces[1:]
     unit = "*".join(units)
-    if unit not in ("", "i", "r3", "i*r3", "r3*i"):
+    if unit not in _UNIT_INDEX:
         raise ScalarFormatError(f"unknown unit {unit!r} in term {term!r}")
-    idx = {"": 0, "i": 1, "r3": 2, "i*r3": 3, "r3*i": 3}[unit]
-    return idx, coeff
+    return _UNIT_INDEX[unit], num, den
+
+
+# A sign joins two terms unless it follows the exponent marker of a
+# decimal literal, as in 1e-2; splitting keeps the signs as tokens.
+_SIGN = re.compile(r"(?<![\d.][eE])([+-])")
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -465,35 +483,34 @@ def parse_scalar(text: str) -> Scalar:
     Accepts sums of terms ``p/q``, ``p/q*i``, ``p/q*r3``, ``p/q*i*r3``
     joined by + and -; bare ``i`` and ``r3`` are allowed as terms.  A
     rational ``p/q`` is anything ``fractions.Fraction`` parses from a
-    string, such as ``3``, ``-1/2``, ``1.5`` or ``1e2``.
+    string, such as ``3``, ``-1/2``, ``1.5``, ``1e2`` or ``1e-2``.
     """
-    s = text.strip()
-    if not s:
+    if not text.strip():
         raise ScalarFormatError("empty scalar text")
-    coords = [0, 0, 0, 0]
-    # split into signed terms at top level
-    terms = []
+    nums, den = [0, 0, 0, 0], 1
     sign = 1
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur.strip():
-            terms.append((sign, cur.strip()))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and not cur.strip():
-            # leading sign of the next (or first) term
-            if ch == "-":
+    found = False
+    # tokens alternate: term text, sign, term text, ...; consecutive signs
+    # leave empty term texts between them and multiply
+    for k, token in enumerate(_SIGN.split(text)):
+        if k % 2:
+            if token == "-":
                 sign = -sign
-        else:
-            cur += ch
-    if cur.strip():
-        terms.append((sign, cur.strip()))
-    elif not terms:
+            continue
+        term = token.strip()
+        if term:
+            idx, num, q = _parse_term(term)
+            if q != den:
+                l = lcm(den, q)
+                nums = [x * (l // den) for x in nums]
+                num *= l // q
+                den = l
+            nums[idx] += sign * num
+            sign = 1
+            found = True
+    if not found:
         raise ScalarFormatError(f"no terms in scalar {text!r}")
-    for sg, term in terms:
-        idx, coeff = _parse_term(term)
-        coords[idx] += sg * coeff
-    return Scalar(*coords)
+    return _make(*nums, den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,35 @@
 """Truncated multivariate power series over Q(i, r3).
 
 A Series is a sparse polynomial representative of a power series mod
-total degree > trunc: coefficients live in a dict keyed by exponent
-tuples, zeros never stored.  All ring operations prune to the common
-truncation degree; combining series with different truncation degrees or
-variable counts is an error, never a silent coercion.
+total degree > trunc, zeros never stored.  All ring operations prune to
+the common truncation degree; combining series with different truncation
+degrees or variable counts is an error, never a silent coercion.
 
 The canonical ordering of monomials everywhere (printing, iteration) is
 graded: total degree first, then lexicographic on the exponent tuple.
+
+Inside, coefficients live in a dict keyed by one int per monomial, a
+Kronecker packing for the ring of n variables truncated at N: with base
+B = N + 1, the exponent tuple e of total degree d packs to
+
+    d * B**n + e[0] * B**(n-1) + ... + e[n-1].
+
+Every exponent is at most N < B, so the packing is one-to-one, and int
+order is the canonical graded order.  The key of a product monomial is
+the sum of the two keys: a sum of degree at most N carries no digit, and
+a sum of degree above N is at least (N+1) * B**n, so truncating a product
+is one compare per term pair.  Tuples appear only at the boundary: the
+constructor, ``coefficient``, ``terms`` and the read-only ``coeffs`` view.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cache
 from math import lcm
-from operator import add
+from operator import mul
 
-from .scalars import ZERO, Scalar, _make, _product, format_scalar, parse_scalar, scalar
+from .scalars import ONE, ZERO, Scalar, _make, _product, format_scalar, parse_scalar, scalar
 
 
 class TruncationMismatch(ValueError):
@@ -26,14 +40,90 @@ class SeriesFormatError(ValueError):
     """Raised for malformed series text."""
 
 
-def _key_order(item):
-    e = item[0]
-    return (sum(e), e)
+# ---------------------------------------------------------------------------
+# monomial packing
+
+
+@cache
+def _ring(nvars: int, trunc: int):
+    """(B**n, (B**(n-1), ..., B, 1), (N+1) * B**n) for B = N + 1: the
+    degree unit, the variables' place values and the bound every key of
+    degree at most N stays below."""
+    B = trunc + 1
+    return B**nvars, tuple(B**j for j in reversed(range(nvars))), B ** (nvars + 1)
+
+
+def _pack(e, base: int) -> int:
+    key = sum(e)
+    for x in e:
+        key = key * base + x
+    return key
+
+
+def _unpack(key: int, nvars: int, base: int) -> tuple:
+    e = [0] * nvars
+    for j in range(nvars - 1, -1, -1):
+        key, e[j] = divmod(key, base)
+    return tuple(e)
+
+
+def _repack(key: int, nvars: int, base: int, new_base: int) -> int:
+    low, place = 0, 1
+    for _ in range(nvars):
+        key, x = divmod(key, base)
+        low += x * place
+        place *= new_base
+    return key * place + low
+
+
+def _new(nvars: int, trunc: int, terms: dict) -> "Series":
+    # internal: trusts clean packed dicts (Scalar values, no zeros, keys
+    # of degree at most trunc)
+    s = object.__new__(Series)
+    s.nvars = nvars
+    s.trunc = trunc
+    s._terms = terms
+    s._view = None
+    return s
+
+
+class Coeffs(Mapping):
+    """The read-only exponent-tuple view of a Series, in canonical order.
+
+    The tuple-keyed dict is built on the first lookup or iteration; the
+    length is read off the packed dict without building it.
+    """
+
+    __slots__ = ("_terms", "_nvars", "_base", "_dict")
+
+    def __init__(self, terms: dict, nvars: int, base: int):
+        self._terms = terms
+        self._nvars = nvars
+        self._base = base
+        self._dict = None
+
+    def _built(self) -> dict:
+        if self._dict is None:
+            n, base, terms = self._nvars, self._base, self._terms
+            self._dict = {_unpack(k, n, base): terms[k] for k in sorted(terms)}
+        return self._dict
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __getitem__(self, e):
+        return self._built()[e]
+
+    def items(self):
+        return self._built().items()
 
 
 class Series:
     """A power series truncated at total degree `trunc`, in `nvars`
-    variables, with Scalar coefficients.
+    variables, with Scalar coefficients.  Series are immutable.
 
     Parameters
     ----------
@@ -43,24 +133,30 @@ class Series:
         Truncation degree N; monomials of total degree > N are dropped.
     coeffs : dict, optional
         Mapping exponent tuple -> coefficient (anything scalar() takes).
+        Exponents are nonnegative ints.
     """
 
-    __slots__ = ("nvars", "trunc", "coeffs")
+    __slots__ = ("nvars", "trunc", "_terms", "_view")
 
     def __init__(self, nvars: int, trunc: int, coeffs=None):
         self.nvars = nvars
         self.trunc = trunc
-        clean = {}
+        self._view = None
+        terms = {}
         if coeffs:
+            base = trunc + 1
             for e, v in coeffs.items():
+                e = tuple(e)
                 if len(e) != nvars:
                     raise ValueError(f"exponent {e} has wrong arity for n={nvars}")
+                if not all(isinstance(x, int) and x >= 0 for x in e):
+                    raise ValueError(f"exponent {e} must hold nonnegative ints")
                 if sum(e) > trunc:
                     continue
                 v = scalar(v)
                 if not v.is_zero():
-                    clean[tuple(e)] = v
-        self.coeffs = clean
+                    terms[_pack(e, base)] = v
+        self._terms = terms
 
     # -- constructors --------------------------------------------------
 
@@ -74,7 +170,7 @@ class Series:
 
     @classmethod
     def one(cls, nvars, trunc):
-        return cls.const(nvars, trunc, 1)
+        return _new(nvars, trunc, {0: ONE})
 
     @classmethod
     def variable(cls, nvars, trunc, j):
@@ -83,50 +179,67 @@ class Series:
         e[j] = 1
         return cls(nvars, trunc, {tuple(e): 1})
 
-    def _raw(self, coeffs: dict) -> "Series":
-        # internal: trusts clean coefficient dicts (Scalar values, no zeros,
-        # degrees within trunc)
-        s = object.__new__(Series)
-        s.nvars = self.nvars
-        s.trunc = self.trunc
-        s.coeffs = coeffs
-        return s
-
-    def copy(self) -> "Series":
-        return self._raw(dict(self.coeffs))
+    def _raw(self, terms: dict) -> "Series":
+        return _new(self.nvars, self.trunc, terms)
 
     # -- inspection ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> "Coeffs":
+        """Read-only mapping exponent tuple -> coefficient, in canonical
+        order."""
+        view = self._view
+        if view is None:
+            view = self._view = Coeffs(self._terms, self.nvars, self.trunc + 1)
+        return view
+
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._terms)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def constant_term(self) -> Scalar:
-        return self.coeffs.get((0,) * self.nvars, ZERO)
+        return self._terms.get(0, ZERO)
 
     def coefficient(self, e) -> Scalar:
-        return self.coeffs.get(tuple(e), ZERO)
+        e = tuple(e)
+        if len(e) != self.nvars or sum(e) > self.trunc or min(e) < 0:
+            return ZERO
+        return self._terms.get(_pack(e, self.trunc + 1), ZERO)
 
     def min_degree(self):
         """Smallest total degree with a nonzero coefficient (None if 0)."""
-        if not self.coeffs:
+        if not self._terms:
             return None
-        return min(sum(e) for e in self.coeffs)
+        return min(self._terms) // _ring(self.nvars, self.trunc)[0]
 
     def homogeneous_component(self, d: int) -> "Series":
-        return self._raw({e: v for e, v in self.coeffs.items() if sum(e) == d})
+        unit = _ring(self.nvars, self.trunc)[0]
+        lo, hi = d * unit, (d + 1) * unit
+        return self._raw({k: v for k, v in self._terms.items() if lo <= k < hi})
 
     def truncate(self, new_trunc: int) -> "Series":
-        """A copy truncated at a (usually lower) degree."""
-        s = Series(self.nvars, new_trunc)
-        s.coeffs = {e: v for e, v in self.coeffs.items() if sum(e) <= new_trunc}
-        return s
+        """The series truncated at a (usually lower) degree, its keys
+        repacked for the new base."""
+        if new_trunc == self.trunc:
+            return self
+        n, base = self.nvars, self.trunc + 1
+        limit = (new_trunc + 1) * _ring(n, self.trunc)[0]
+        return _new(
+            n,
+            new_trunc,
+            {
+                _repack(k, n, base, new_trunc + 1): v
+                for k, v in self._terms.items()
+                if k < limit
+            },
+        )
 
     def terms(self):
-        """Items in canonical (degree, lex) order."""
-        return sorted(self.coeffs.items(), key=_key_order)
+        """Items (exponent tuple, coefficient) in canonical (degree, lex)
+        order."""
+        return list(self.coeffs.items())
 
     # -- ring operations -----------------------------------------------
 
@@ -143,33 +256,33 @@ class Series:
         return (
             self.nvars == other.nvars
             and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.trunc, frozenset(self.coeffs.items())))
+        return hash((self.nvars, self.trunc, frozenset(self._terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, Series):
             other = Series.const(self.nvars, self.trunc, other)
         self._check(other)
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            w = out.get(e)
+        out = dict(self._terms)
+        for k, v in other._terms.items():
+            w = out.get(k)
             if w is None:
-                out[e] = v
+                out[k] = v
             else:
                 w = w + v
                 if w.is_zero():
-                    del out[e]
+                    del out[k]
                 else:
-                    out[e] = w
+                    out[k] = w
         return self._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw({e: -v for e, v in self.coeffs.items()})
+        return self._raw({k: -v for k, v in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -183,26 +296,25 @@ class Series:
         k = scalar(k)
         if k.is_zero():
             return self._raw({})
-        return self._raw({e: v * k for e, v in self.coeffs.items()})
+        return self._raw({e: v * k for e, v in self._terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
         self._check(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return self._raw({})
-        N = self.trunc
-        a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        # the longer operand with its degrees, for pruning at N
-        b_deg = [(eb, sum(eb), y) for eb, y in b.items()]
+        # the longer operand in key order, so each row stops at the bound
+        b = sorted(b.items())
+        limit = _ring(self.nvars, self.trunc)[2]
+        room = limit - b[0][0]  # a row from this key on has no pair left
         acc: dict = {}
-        for ea, x in a.items():
-            room = N - sum(ea)
-            terms = [(tuple(map(add, ea, eb)), y) for eb, deg, y in b_deg if deg <= room]
-            if terms:
-                _accumulate(acc, x._v, terms)
+        for ka, x in a.items():
+            if ka < room:
+                _accumulate(acc, x._v, ka, b, limit)
         return self._raw(_normalized(acc))
 
     __rmul__ = __mul__
@@ -238,24 +350,24 @@ class Series:
 
     def shift_down(self, j: int) -> "Series":
         """Divide by the coordinate t_j exactly; raises if not divisible."""
+        unit, place, _ = _ring(self.nvars, self.trunc)
+        step = unit + place[j]
+        base = self.trunc + 1
         out = {}
-        for e, v in self.coeffs.items():
-            if e[j] == 0:
+        for k, v in self._terms.items():
+            if k // place[j] % base == 0:
                 raise ValueError(f"series is not divisible by variable {j}")
-            key = e[:j] + (e[j] - 1,) + e[j + 1:]
-            out[key] = v
+            out[k - step] = v
         # dividing lowers degree, so the result is still within trunc
         return self._raw(out)
 
     def shift_up(self, j: int) -> "Series":
         """Multiply by the coordinate t_j (pruning at trunc)."""
-        out = {}
-        for e, v in self.coeffs.items():
-            if sum(e) + 1 > self.trunc:
-                continue
-            key = e[:j] + (e[j] + 1,) + e[j + 1:]
-            out[key] = v
-        return self._raw(out)
+        unit, place, limit = _ring(self.nvars, self.trunc)
+        step = unit + place[j]
+        return self._raw(
+            {k + step: v for k, v in self._terms.items() if k + step < limit}
+        )
 
     def __repr__(self):
         return f"<{format_series(self)}>"
@@ -266,14 +378,18 @@ class Series:
 # numerators of its terms and is normalized once, into one Scalar
 
 
-def _accumulate(acc: dict, x, terms) -> None:
-    """acc[key] += x * y for every (key, y) in terms.
+def _accumulate(acc: dict, x, shift: int, terms, limit: int) -> None:
+    """acc[shift + key] += x * y for every (key, y) in terms, stopping at
+    the first shifted key not below limit.
 
     x is the normal-form tuple (p, q, r, s, den) of a Scalar and each y a
     Scalar; acc maps keys to lists [p, q, r, s, den] of integer sums over
     a common denominator, the lcm of the terms' denominators.
     """
     for key, y in terms:
+        key += shift
+        if key >= limit:
+            break
         P, Q, R, S, n = _product(x, y._v)
         t = acc.get(key)
         if t is None:
@@ -309,9 +425,10 @@ def compose(f: Series, args, memo=None) -> Series:
         truncation degree), which need not be constant-free: substitution
         into a truncated series is a finite exact sum.
     memo : dict, optional
-        Cache of monomial values keyed by exponent tuple; pass the same
-        dict across several compositions with identical args to share the
-        work (map composition does this per component).
+        Cache of monomial values keyed by the packed monomial of f's ring;
+        pass the same dict across several compositions with identical
+        args and outer series of one ring to share the work (map
+        composition does this per component).
 
     Returns
     -------
@@ -323,37 +440,44 @@ def compose(f: Series, args, memo=None) -> Series:
     proto = args[0]
     for g in args[1:]:
         proto._check(g)
-    N = proto.trunc
+    n, N = proto.nvars, proto.trunc
     if f.trunc != N:
         raise TruncationMismatch(
             f"outer series has N={f.trunc}, substitutions have N={N}"
         )
     if memo is None:
         memo = {}
-    # min-degrees let us skip monomials whose value must vanish mod N
-    mins = [g.min_degree() for g in args]
-    mins = [0 if m is None else m for m in mins]
+    unit, place, _ = _ring(k, N)
 
     def value(e):
         got = memo.get(e)
         if got is not None:
             return got
-        if sum(e) == 0:
-            out = Series.one(proto.nvars, N)
+        if e == 0:
+            out = Series.one(n, N)
         else:
-            j = next(i for i, x in enumerate(e) if x)
-            parent = e[:j] + (e[j] - 1,) + e[j + 1:]
-            out = value(parent) * args[j]
+            # peel one factor off the first variable present: the first
+            # place value the exponent digits below the degree reach
+            low, j = e % unit, 0
+            while low < place[j]:
+                j += 1
+            out = value(e - unit - place[j]) * args[j]
         memo[e] = out
         return out
 
+    items = f._terms.items()
+    # min-degrees let us skip monomials whose value must vanish mod N
+    mins = [g.min_degree() for g in args]
+    mins = [0 if m is None else m for m in mins]
+    if max(mins) > 1:
+        items = [
+            (e, c) for e, c in items if sum(map(mul, _unpack(e, k, N + 1), mins)) <= N
+        ]
+    limit = _ring(n, N)[2]
     acc: dict = {}
-    for e, coeff in f.coeffs.items():
-        if sum(x * m for x, m in zip(e, mins)) <= N:
-            _accumulate(acc, coeff._v, value(e).coeffs.items())
-    out = Series(proto.nvars, N)
-    out.coeffs = _normalized(acc)
-    return out
+    for e, coeff in items:
+        _accumulate(acc, coeff._v, 0, value(e)._terms.items(), limit)
+    return _new(n, N, _normalized(acc))
 
 
 def cw_product(us, vs):

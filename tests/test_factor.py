@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -703,3 +704,46 @@ def test_certificate_schema_violations_are_malformed(mutation):
     cert["digest"] = _digest(cert)
     with pytest.raises(CertificateError):
         verify_certificate(cert)
+
+
+# ---------------------------------------------------------------------------
+# certificate bytes: refactors of the arithmetic must not move a byte
+
+# sha256 of format_certificate(certificate(fz)) per instance, recorded
+# before the series layer moved to packed monomial keys.  The cases cover
+# both modes, coefficients with i and r3, and each place that conjugates
+# by a linear eigenbasis (triangular prefix, fresh-prime rebalance,
+# shear at a unit-group level, reduction to the centralizer).
+PINNED_CERTIFICATES = [
+    ("rev-n2", "reversible", "map n=2 N=6 { comp1: { [1,0]: 2 ; [0,2]: 1 ; [2,1]: -1/3 } ; comp2: { [0,1]: 1/2 ; [2,0]: -1 } }",
+     "7b2fa7278cefce43790b0b8a41b15225c4eab249bf4ef421aeae9e455a04f0fd"),
+    ("rev-n3", "reversible", "map n=3 N=5 { comp1: { [1,0,0]: 2 ; [0,1,1]: 1 } ; comp2: { [0,1,0]: 3 ; [2,0,0]: -2 } ; comp3: { [0,0,1]: 1/6 ; [1,1,0]: 5 } }",
+     "03e3ce3505b346598770cb97d1a01d2e8c9b8cef85cf160637ee2eed03b416aa"),
+    ("rev-field", "reversible", "map n=2 N=5 { comp1: { [1,0]: 3 ; [1,1]: r3 } ; comp2: { [0,1]: 1/3 ; [0,2]: 1 + i } }",
+     "071e1a351ce0587ebbff887b607f6e109f700e4b608ea56627240d8b7c2e1f32"),
+    ("rev-triangular-n2", "reversible", "map n=2 N=5 { comp1: { [1,0]: 2 ; [0,1]: 1 ; [1,1]: 1 } ; comp2: { [0,1]: 1/2 ; [2,0]: 3 } }",
+     "1082a4dfef7b6891ef45f1c7b48b526621cf57ca3830fa9eed2b7741195a797c"),
+    ("rev-unipotent-n3", "reversible", "map n=3 N=4 { comp1: { [1,0,0]: 1 ; [0,1,0]: 1 ; [0,0,2]: 1 } ; comp2: { [0,1,0]: 1 ; [0,0,1]: 2 } ; comp3: { [0,0,1]: 1 ; [2,0,0]: -1 } }",
+     "b510bbb7996b60fda3379b2b322a106b4e60f91b1ee94b8548579b2cf9d019a1"),
+    ("rev-triangular-n3", "reversible", "map n=3 N=4 { comp1: { [1,0,0]: 2 ; [0,0,1]: 1 ; [1,1,0]: 1 } ; comp2: { [0,1,0]: 3 } ; comp3: { [0,0,1]: 1/6 ; [0,2,0]: 1 } }",
+     "53db77d2bdd03fbf5d4f86518e773f7e8a2f10cd3d98284c56cc98da02f320a8"),
+    ("inv-unipotent", "involutive", "map n=2 N=5 { comp1: { [1,0]: 1 ; [0,1]: 1 ; [2,0]: 1 } ; comp2: { [0,1]: 1 ; [1,1]: -1 } }",
+     "0120d78caa1edef2aad3835ed1f1d0c30e83219929779660268adff5716e6054"),
+    ("inv-neg-identity", "involutive", "map n=2 N=6 { comp1: { [1,0]: -1 ; [2,0]: 2 } ; comp2: { [0,1]: -1 ; [0,3]: 3 } }",
+     "5a632db08c82dac0333394b7f62b0fce3645894d71f5e0c294da06e32ff36f10"),
+    ("inv-prime", "involutive", "map n=2 N=5 { comp1: { [1,0]: 3 ; [0,2]: 1 } ; comp2: { [0,1]: 1/3 ; [1,1]: -2 } }",
+     "31d0098d5e332b08ce444beac8ee1a2ffea18d2f4581cfa638c5652d20eb7a73"),
+    ("inv-triangular-n2", "involutive", "map n=2 N=5 { comp1: { [1,0]: 2 ; [0,1]: 1 ; [1,1]: 1 } ; comp2: { [0,1]: 1/2 ; [2,0]: 3 } }",
+     "ba040c75745eaf36432af91e156944878c920af103c5d4412eac9b406987e50c"),
+    ("inv-n4-jordan", "involutive", "map n=4 N=4 { comp1: { [1,0,0,0]: 2 ; [0,1,0,0]: 1 } ; comp2: { [0,1,0,0]: 2 ; [0,0,1,0]: 1 ; [1,1,1,0]: 3 } ; comp3: { [0,0,1,0]: 1 ; [0,0,0,1]: 1 } ; comp4: { [0,0,0,1]: 1/4 ; [0,2,0,1]: 1 } }",
+     "ec6198f278b42d9f61bea89878d49316fc74eda9d6d89a4e551f5a12f91ff5bd"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, text, sha", [c[1:] for c in PINNED_CERTIFICATES], ids=[c[0] for c in PINNED_CERTIFICATES]
+)
+def test_certificate_bytes_are_pinned(mode, text, sha):
+    factor = factor_reversibles if mode == "reversible" else factor_involutions
+    text = format_certificate(certificate(factor(parse_map(text))))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha

@@ -190,6 +190,9 @@ def test_floats_are_refused():
         ("1//2", None),
         ("nan", None),
         ("+", None),
+        ("1e-2", Scalar(Fraction(1, 100))),
+        ("1E+2", Scalar(100)),
+        ("-1e-2*i", Scalar(0, Fraction(-1, 100))),
     ],
 )
 def test_parse_scalar_grammar(text, value):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revfactor.maps import FormalMap, composite_part
 from revfactor.scalars import Scalar, rat
 from revfactor.series import (
     Series,
@@ -161,3 +162,130 @@ def test_cw_product():
     assert out[1] == Series(1, 3, {(1,): 2})
     with pytest.raises(ValueError):
         cw_product(a, b[:1])
+
+
+@pytest.mark.parametrize("e", [(-1, 2), (1.0, 0), (0, "1")])
+def test_exponents_must_be_nonnegative_ints(e):
+    with pytest.raises(ValueError):
+        Series(2, 6, {e: 1})
+
+
+# ---------------------------------------------------------------------------
+# the packed layer against a tuple-keyed reference
+
+
+def _nonzero(d):
+    return {e: v for e, v in d.items() if not v.is_zero()}
+
+
+def ref_mul(a, b, N):
+    """Truncated product of two {exponent tuple: Scalar} dicts."""
+    out = {}
+    for ea, x in a.items():
+        for eb, y in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            if sum(e) <= N:
+                out[e] = out.get(e, Scalar(0)) + x * y
+    return _nonzero(out)
+
+
+def ref_compose(f, args, n, N):
+    """Substitute args[j] for variable j of f, monomial by monomial."""
+    out = {}
+    for e, c in f.items():
+        term = {(0,) * n: c}
+        for j, k in enumerate(e):
+            for _ in range(k):
+                term = ref_mul(term, args[j], N)
+        for t, v in term.items():
+            out[t] = out.get(t, Scalar(0)) + v
+    return _nonzero(out)
+
+
+def graded(e):
+    return (sum(e), e)
+
+
+field_coeffs = st.builds(
+    Scalar, *[st.integers(min_value=-3, max_value=3)] * 3, st.fractions(-2, 2, max_denominator=3)
+)
+
+
+@st.composite
+def rings(draw):
+    return draw(st.integers(1, 3)), draw(st.integers(1, 5))
+
+
+@st.composite
+def series_in(draw, n, N, low=0):
+    """Up to seven terms of degree low..N; every pure power z_j^N, whose
+    single exponent is the largest digit the packing holds, is drawn
+    often."""
+    pool = [e for total in range(low, N + 1) for e in _exponents(n, total)]
+    edges = [tuple(N if k == j else 0 for k in range(n)) for j in range(n)]
+    keys = draw(
+        st.lists(st.one_of(st.sampled_from(pool), st.sampled_from(edges)), max_size=7)
+    )
+    return {e: draw(field_coeffs) for e in keys}
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings().flatmap(lambda r: st.tuples(st.just(r), series_in(*r), series_in(*r))))
+def test_packed_product_matches_the_reference(case):
+    (n, N), a, b = case
+    sa, sb = Series(n, N, a), Series(n, N, b)
+    want = ref_mul(_nonzero(a), _nonzero(b), N)
+    assert dict((sa * sb).coeffs) == want
+    assert dict((sb * sa).coeffs) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings(), st.integers(1, 3), st.data())
+def test_packed_compose_matches_the_reference(ring, k, data):
+    n, N = ring
+    f = data.draw(series_in(k, N))
+    # some substitutions start at degree 2, so the min-degree prune runs
+    lows = st.integers(0, min(2, N))
+    args = [data.draw(series_in(n, N, low=data.draw(lows))) for _ in range(k)]
+    got = compose(Series(k, N, f), [Series(n, N, g) for g in args])
+    assert dict(got.coeffs) == ref_compose(_nonzero(f), args, n, N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings().flatmap(lambda r: st.tuples(st.just(r), series_in(*r))), st.integers(0, 7))
+def test_packed_slices_match_the_reference(case, d):
+    (n, N), a = case
+    s, ref = Series(n, N, a), _nonzero(a)
+    assert dict(s.truncate(d).coeffs) == {e: v for e, v in ref.items() if sum(e) <= d}
+    assert s.truncate(d).trunc == d
+    assert dict(s.homogeneous_component(d).coeffs) == {
+        e: v for e, v in ref.items() if sum(e) == d
+    }
+    assert s.min_degree() == min((sum(e) for e in ref), default=None)
+    # the view round-trips and iterates in graded-lex order
+    assert Series(n, N, s.coeffs) == s
+    assert list(s.coeffs) == sorted(ref, key=graded)
+    assert [e for e, _ in s.terms()] == sorted(ref, key=graded)
+    for e, v in ref.items():
+        assert s.coefficient(e) == v
+    # raising the truncation repacks every key into the wider base
+    wide = s.truncate(N + 3)
+    assert dict(wide.coeffs) == ref
+    assert wide * Series.one(n, N + 3) == wide
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings().filter(lambda r: r[1] >= 2), st.data())
+def test_composite_part_repacks_the_slice(ring, data):
+    n, N = ring
+    d = data.draw(st.integers(1, N))
+    units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    F, G = [
+        FormalMap([Series(n, N, {units[i]: 1, **data.draw(series_in(n, N, low=2))}) for i in range(n)])
+        for _ in range(2)
+    ]
+    part = composite_part(F, G, d)
+    full = [ref_compose(dict(c.coeffs), [dict(g.coeffs) for g in G.comps], n, N) for c in F.comps]
+    for got, want in zip(part.comps, full):
+        assert (got.nvars, got.trunc) == (n, N)
+        assert dict(got.coeffs) == {e: v for e, v in want.items() if sum(e) == d}
