@@ -87,9 +87,13 @@ def _position(text: str, exc: Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(INPUT_ERROR, f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(
+            INPUT_ERROR, f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _load_map(path: str, degree: int) -> FormalMap:

@@ -1106,8 +1106,11 @@ def format_certificate(cert: dict) -> str:
 def parse_certificate(text: str) -> dict:
     try:
         cert = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal over the int-string limit
         raise CertificateError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CertificateError("not valid JSON: nested too deeply") from None
     if not isinstance(cert, dict) or cert.get("format") != "revfactor-certificate":
         raise CertificateError("missing certificate format marker")
     for key in ("mode", "degree", "target", "factors", "trace", "digest"):

@@ -80,15 +80,6 @@ class ResonanceReport:
             power = power * l**e
         return power == lam[component - 1]
 
-    def as_table(self) -> str:
-        lines = []
-        for tag, rows in (("resonant", self.resonant), ("eliminated", self.eliminated)):
-            for comp, exp, coeff in rows:
-                lines.append(
-                    f"{tag:<10} comp{comp} {list(exp)} {format_scalar(coeff)}"
-                )
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class Witness:

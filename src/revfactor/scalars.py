@@ -172,7 +172,10 @@ class Scalar:
         o = _vec(other)
         if o is None:
             return NotImplemented
-        return _make(*_product(self._v, o))
+        p, q, r, s, m = self._v
+        e, f, g, h, n = o
+        P, Q, R, S = _product(p, q, r, s, e, f, g, h)
+        return _make(P, Q, R, S, m * n)
 
     __rmul__ = __mul__
 
@@ -322,22 +325,19 @@ def _make(p, q, r, s, den) -> Scalar:
     return x
 
 
-def _product(x, y):
-    """The product of two normal-form tuples, (p, q, r, s, den) but not
-    reduced; the series layer sums these before reducing."""
-    p, q, r, s, m = x
-    e, f, g, h, n = y
+def _product(p, q, r, s, e, f, g, h):
+    """The numerators of (p + q*i + r*r3 + s*i*r3)(e + f*i + g*r3 + h*i*r3),
+    with i^2 = -1 and r3^2 = 3; the series layer sums these over one
+    denominator before reducing."""
     if not (q or r or s):
-        return p * e, p * f, p * g, p * h, m * n
+        return p * e, p * f, p * g, p * h
     if not (f or g or h):
-        return p * e, q * e, r * e, s * e, m * n
-    # (p+qi+r*r3+s*i*r3)(e+fi+g*r3+h*i*r3) with i^2=-1, r3^2=3
+        return p * e, q * e, r * e, s * e
     return (
         p * e - q * f + 3 * (r * g - s * h),
         p * f + q * e + 3 * (r * h + s * g),
         p * g + r * e - q * h - s * f,
         p * h + s * e + q * g + r * f,
-        m * n,
     )
 
 

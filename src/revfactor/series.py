@@ -20,6 +20,16 @@ the sum of the two keys: a sum of degree at most N carries no digit, and
 a sum of degree above N is at least (N+1) * B**n, so truncating a product
 is one compare per term pair.  Tuples appear only at the boundary: the
 constructor, ``coefficient``, ``terms`` and the read-only ``coeffs`` view.
+
+There is one product kernel, ``_mul_into``, on integer numerator rows over
+a denominator kept outside.  ``Series.__mul__`` brings each operand over
+the lcm of its coefficients' denominators and reduces each coefficient of
+the product once.  ``compose`` brings its substitutions over one common
+denominator D, once per memo, and keeps the value of a monomial of degree
+d as raw numerators over D**d: a monomial power costs integer
+multiply-adds only, with no gcd, lcm or Scalar, and each output
+coefficient is reduced once.  The normal form of a Scalar is unique, so
+results do not depend on where the reduction happens.
 """
 
 from __future__ import annotations
@@ -305,17 +315,10 @@ class Series:
         a, b = self._terms, other._terms
         if not a or not b:
             return self._raw({})
-        if len(a) > len(b):
-            a, b = b, a
-        # the longer operand in key order, so each row stops at the bound
-        b = sorted(b.items())
-        limit = _ring(self.nvars, self.trunc)[2]
-        room = limit - b[0][0]  # a row from this key on has no pair left
+        da, db = _den(a), _den(b)
         acc: dict = {}
-        for ka, x in a.items():
-            if ka < room:
-                _accumulate(acc, x._v, ka, b, limit)
-        return self._raw(_normalized(acc))
+        _mul_into(acc, _numerators(a, da), _numerators(b, db), _ring(self.nvars, self.trunc)[2])
+        return self._raw(_scalars(acc, da * db))
 
     __rmul__ = __mul__
 
@@ -374,41 +377,63 @@ class Series:
 
 
 # ---------------------------------------------------------------------------
-# raw numerator arithmetic: a sum of products accumulates on the integer
-# numerators of its terms and is normalized once, into one Scalar
+# raw numerator arithmetic: a series over one denominator is a list of
+# (key, (p, q, r, s)) integer numerator rows; products accumulate on rows
+# and each output coefficient is normalized once, into one Scalar
 
 
-def _accumulate(acc: dict, x, shift: int, terms, limit: int) -> None:
-    """acc[shift + key] += x * y for every (key, y) in terms, stopping at
-    the first shifted key not below limit.
+def _den(terms: dict) -> int:
+    """The lcm of the denominators of a packed dict's coefficients."""
+    return lcm(*[v._v[4] for v in terms.values()])
 
-    x is the normal-form tuple (p, q, r, s, den) of a Scalar and each y a
-    Scalar; acc maps keys to lists [p, q, r, s, den] of integer sums over
-    a common denominator, the lcm of the terms' denominators.
+
+def _numerators(terms: dict, den: int) -> list:
+    """The coefficients of a packed dict as numerator rows over den, a
+    multiple of every coefficient's denominator, sorted by key."""
+    rows = []
+    for key in sorted(terms):
+        p, q, r, s, m = terms[key]._v
+        u = den // m
+        rows.append((key, (p * u, q * u, r * u, s * u)))
+    return rows
+
+
+def _mul_into(acc: dict, a, b, limit: int) -> None:
+    """acc[ka + kb] += x * y for every (ka, x) in a and (kb, y) in b with
+    ka + kb below limit.
+
+    x and y are numerator quadruples, and acc maps keys to lists
+    [p, q, r, s] of integer sums: the denominators stay outside.  Each row
+    of a stops at the first key of b not below limit, so b is sorted by
+    key unless no pair reaches the limit.
     """
-    for key, y in terms:
-        key += shift
-        if key >= limit:
-            break
-        P, Q, R, S, n = _product(x, y._v)
-        t = acc.get(key)
-        if t is None:
-            acc[key] = [P, Q, R, S, n]
-        elif t[4] == n:
-            t[0] += P
-            t[1] += Q
-            t[2] += R
-            t[3] += S
-        else:
-            # bring the sum and the term over the lcm of their denominators
-            l = lcm(t[4], n)
-            u, w = l // t[4], l // n
-            t[:] = [t[0] * u + P * w, t[1] * u + Q * w, t[2] * u + R * w, t[3] * u + S * w, l]
+    get = acc.get
+    for ka, x in a:
+        p, q, r, s = x
+        mixed = q or r or s
+        for kb, (e, f, g, h) in b:
+            key = ka + kb
+            if key >= limit:
+                break
+            t = get(key)
+            if mixed or f or g or h:
+                P, Q, R, S = _product(p, q, r, s, e, f, g, h)
+                if t is None:
+                    acc[key] = [P, Q, R, S]
+                else:
+                    t[0] += P
+                    t[1] += Q
+                    t[2] += R
+                    t[3] += S
+            elif t is None:
+                acc[key] = [p * e, 0, 0, 0]
+            else:
+                t[0] += p * e
 
 
-def _normalized(acc: dict) -> dict:
-    """The nonzero sums of acc as Scalars."""
-    return {key: _make(*t) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
+def _scalars(acc: dict, den: int) -> dict:
+    """The nonzero sums of acc, each over den, as Scalars."""
+    return {key: _make(*t, den) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +458,13 @@ def compose(f: Series, args, memo=None) -> Series:
     Returns
     -------
     Series in n variables.
+
+    Notes
+    -----
+    The memo also holds the args as numerator rows over one denominator
+    D, and the value of a monomial of degree d as numerators over D**d.
+    The sum of c_e * value(e) is formed over lcm(den c_e) * D**top, top
+    the highest degree in f.
     """
     k = f.nvars
     if len(args) != k:
@@ -447,44 +479,62 @@ def compose(f: Series, args, memo=None) -> Series:
         )
     if memo is None:
         memo = {}
+    # the args' rows share the memo's lifetime; None is no monomial key
+    prepared = memo.get(None)
+    if prepared is None:
+        D = lcm(*[_den(g._terms) for g in args])
+        prepared = memo[None] = (D, [_numerators(g._terms, D) for g in args])
+    D, rows = prepared
     unit, place, _ = _ring(k, N)
-
-    def value(e):
-        got = memo.get(e)
-        if got is not None:
-            return got
-        if e == 0:
-            out = Series.one(n, N)
-        else:
-            # peel one factor off the first variable present: the first
-            # place value the exponent digits below the degree reach
-            low, j = e % unit, 0
-            while low < place[j]:
-                j += 1
-            out = value(e - unit - place[j]) * args[j]
-        memo[e] = out
-        return out
+    limit = _ring(n, N)[2]
 
     items = f._terms.items()
-    # min-degrees let us skip monomials whose value must vanish mod N
-    mins = [g.min_degree() for g in args]
-    mins = [0 if m is None else m for m in mins]
+    # min-degrees let us skip monomials whose value must vanish mod N; the
+    # rows are sorted, so each starts at its lowest key
+    unit_n = _ring(n, N)[0]
+    mins = [r[0][0] // unit_n if r else 0 for r in rows]
     if max(mins) > 1:
         items = [
             (e, c) for e, c in items if sum(map(mul, _unpack(e, k, N + 1), mins)) <= N
         ]
-    limit = _ring(n, N)[2]
+    if not items:
+        return _new(n, N, {})
+    top = max(e for e, _ in items) // unit
+    L = lcm(*[c._v[4] for _, c in items])
     acc: dict = {}
-    for e, coeff in items:
-        _accumulate(acc, coeff._v, 0, value(e)._terms.items(), limit)
-    return _new(n, N, _normalized(acc))
+    for e, c in items:
+        p, q, r, s, m = c._v
+        u = L // m * D ** (top - e // unit)
+        v = _value(e, memo, rows, unit, place, limit)
+        _mul_into(acc, ((0, (p * u, q * u, r * u, s * u)),), v.items(), limit)
+    return _new(n, N, _scalars(acc, L * D**top))
 
 
-def cw_product(us, vs):
-    """Coordinatewise product of two equal-length series tuples."""
-    if len(us) != len(vs):
-        raise ValueError("coordinatewise product needs equal lengths")
-    return tuple(u * v for u, v in zip(us, vs))
+def _value(e: int, memo: dict, rows, unit: int, place, limit: int) -> dict:
+    """The value of the monomial with packed key e under the substitution
+    rows, as raw numerators over D**deg(e), memoized.
+
+    A module function rather than a closure in ``compose``: a closure
+    that calls itself is a reference cycle, which would hold the memo
+    until the cyclic garbage collector ran.
+    """
+    got = memo.get(e)
+    if got is not None:
+        return got
+    if e == 0:
+        out = {0: (1, 0, 0, 0)}
+    else:
+        # peel one factor off the first variable present: the first
+        # place value the exponent digits below the degree reach
+        low, j = e % unit, 0
+        while low < place[j]:
+            j += 1
+        acc: dict = {}
+        parent = _value(e - unit - place[j], memo, rows, unit, place, limit)
+        _mul_into(acc, parent.items(), rows[j], limit)
+        out = {key: t for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
+    memo[e] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -420,14 +420,6 @@ def extract_unit_shape(chi: FormalMap, hat: bool):
     return tuple(lams), psi
 
 
-def is_unit_shape(chi: FormalMap, hat: bool) -> MembershipResult:
-    try:
-        extract_unit_shape(chi, hat)
-    except ShapeError as exc:
-        return MembershipResult(False, str(exc))
-    return MembershipResult(True)
-
-
 # ---------------------------------------------------------------------------
 # the exact sequence: kernel embedding, projection, section
 

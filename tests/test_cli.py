@@ -270,3 +270,29 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: boom (raised at test_cli.py:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe",
+        b"[" * 100000,
+        b'{"format": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        b'{"format": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["not-utf8", "deep-array", "deep-format-field", "huge-int-literal"],
+)
+def test_verify_malformed_bytes_exit_2(tmp_path, capsys, data):
+    cert = tmp_path / "c.json"
+    cert.write_bytes(data)
+    assert main(["verify", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_map_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.map"
+    bad.write_bytes(b"map n=1 N=4 { comp1: { [1]: \xff } }\n")
+    assert main(["invert", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.map is not UTF-8 text" in err

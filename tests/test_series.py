@@ -1,5 +1,7 @@
 """Tests for the truncated series ring."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from revfactor.series import (
     SeriesFormatError,
     TruncationMismatch,
     compose,
-    cw_product,
     format_series,
     parse_series,
 )
@@ -154,16 +155,6 @@ def test_composition_associates(f, g):
     assert lhs == rhs
 
 
-def test_cw_product():
-    a = (Series(1, 3, {(1,): 1}), Series(1, 3, {(0,): 2}))
-    b = (Series(1, 3, {(1,): 3}), Series(1, 3, {(1,): 1}))
-    out = cw_product(a, b)
-    assert out[0] == Series(1, 3, {(2,): 3})
-    assert out[1] == Series(1, 3, {(1,): 2})
-    with pytest.raises(ValueError):
-        cw_product(a, b[:1])
-
-
 @pytest.mark.parametrize("e", [(-1, 2), (1.0, 0), (0, "1")])
 def test_exponents_must_be_nonnegative_ints(e):
     with pytest.raises(ValueError):
@@ -217,7 +208,7 @@ def rings(draw):
 
 
 @st.composite
-def series_in(draw, n, N, low=0):
+def series_in(draw, n, N, low=0, coeffs=field_coeffs):
     """Up to seven terms of degree low..N; every pure power z_j^N, whose
     single exponent is the largest digit the packing holds, is drawn
     often."""
@@ -226,7 +217,7 @@ def series_in(draw, n, N, low=0):
     keys = draw(
         st.lists(st.one_of(st.sampled_from(pool), st.sampled_from(edges)), max_size=7)
     )
-    return {e: draw(field_coeffs) for e in keys}
+    return {e: draw(coeffs) for e in keys}
 
 
 @settings(max_examples=80, deadline=None)
@@ -289,3 +280,62 @@ def test_composite_part_repacks_the_slice(ring, data):
     for got, want in zip(part.comps, full):
         assert (got.nvars, got.trunc) == (n, N)
         assert dict(got.coeffs) == {e: v for e, v in want.items() if sum(e) == d}
+
+
+# ---------------------------------------------------------------------------
+# the raw-numerator kernel: compose keeps monomial values over D**deg, D
+# the lcm of the substitutions' denominators, so large pairwise-coprime
+# denominators make every rescale visible
+
+PRIMES = (7919, 104729, 1299709, 2147483647, 10**9 + 7)
+
+big_coeffs = st.builds(
+    lambda nums, den: Scalar(*(Fraction(x, den) for x in nums)),
+    st.tuples(
+        st.integers(-9, 9), *[st.sampled_from([0, 0, -5, 1, 7])] * 3
+    ),
+    st.sampled_from(PRIMES),
+).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def substitutions(draw, n, N):
+    """A zero series, a series with a constant term, or one starting at
+    degree 1 or 2, over large denominators."""
+    kind = draw(st.sampled_from(["zero", "constant", "low"]))
+    if kind == "zero":
+        return {}
+    g = draw(series_in(n, N, low=draw(st.integers(1, min(2, N))), coeffs=big_coeffs))
+    if kind == "constant":
+        g[(0,) * n] = draw(big_coeffs)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(), st.integers(1, 3), st.data())
+def test_compose_over_coprime_denominators_shares_one_memo(ring, k, data):
+    n, N = ring
+    args = [data.draw(substitutions(n, N)) for _ in range(k)]
+    sargs = [Series(n, N, g) for g in args]
+    # several outer series, each with a constant term, share one memo as
+    # the components of a map composite do
+    memo = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        f = data.draw(series_in(k, N, coeffs=big_coeffs))
+        f[(0,) * k] = data.draw(big_coeffs)
+        got = compose(Series(k, N, f), sargs, memo)
+        assert dict(got.coeffs) == ref_compose(_nonzero(f), args, n, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings().flatmap(
+    lambda r: st.tuples(
+        st.just(r), series_in(*r, coeffs=big_coeffs), series_in(*r, coeffs=big_coeffs)
+    )
+))
+def test_product_over_differing_denominators(case):
+    (n, N), a, b = case
+    sa, sb = Series(n, N, a), Series(n, N, b)
+    want = ref_mul(_nonzero(a), _nonzero(b), N)
+    assert dict((sa * sb).coeffs) == want
+    assert dict((sb * sa).coeffs) == want
