@@ -49,8 +49,8 @@ from .factor import (
 )
 from .maps import FormalMap, conjugate, format_map, map_compose, map_invert, parse_map
 from .normalform import poincare_dulac
-from .scalars import ONE, ScalarFormatError, parse_scalar
-from .series import SeriesFormatError, TruncationMismatch
+from .scalars import ONE, ScalarFormatError, TextFormatError, parse_scalar
+from .series import TruncationMismatch
 from .structure import ShapeError, centralizer_membership, kernel_embed, split_centralizer
 
 DEFAULT_TRUNCATION = 6
@@ -66,23 +66,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _position(text: str, exc: Exception):
-    """Best-effort line/column of a parse failure: the first quoted
-    fragment of the error message located in the input text."""
-    msg = str(exc)
-    for quote in ("'", '"'):
-        a = msg.find(quote)
-        b = msg.find(quote, a + 1)
-        if a != -1 and b > a:
-            frag = msg[a + 1 : b]
-            at = text.find(frag)
-            if frag and at != -1:
-                line = text.count("\n", 0, at) + 1
-                col = at - (text.rfind("\n", 0, at) + 1) + 1
-                return line, col
-    return 1, 1
 
 
 def _read_text(path: str) -> str:
@@ -102,8 +85,8 @@ def _load_map(path: str, degree: int) -> FormalMap:
     text = _read_text(path)
     try:
         F = parse_map(text)
-    except SeriesFormatError as exc:
-        line, col = _position(text, exc)
+    except TextFormatError as exc:
+        line, col = exc.line_col(text)
         raise CliError(INPUT_ERROR, f"{path}:{line}:{col}: {exc}") from None
     if degree > F.trunc:
         raise CliError(
@@ -230,8 +213,6 @@ def _cmd_verify(args):
         cert = parse_certificate(text)
         report = verify_certificate(cert, degree=args.truncation)
     except CertificateError as exc:
-        raise CliError(INPUT_ERROR, str(exc)) from None
-    except (SeriesFormatError, ScalarFormatError) as exc:
         raise CliError(INPUT_ERROR, str(exc)) from None
     print(report.as_text())
     return OK if report.ok else VERIFY_FAILED

@@ -34,7 +34,7 @@ from .maps import (
     parse_map,
 )
 from .normalform import Obstruction, Witness, poincare_dulac, verify_witness
-from .scalars import ONE, Scalar, rat, scalar, solve_quadratic
+from .scalars import ONE, Scalar, TextFormatError, rat, scalar, solve_quadratic
 from .series import Series
 from .structure import (
     PairedDiagonal,
@@ -604,24 +604,6 @@ def _ambient_factors(G: FormalMap, mode: str, trace):
     return out
 
 
-def halve_even(F: FormalMap):
-    """Split a paired-centralizer element over an even number of
-    variables into its base map and kernel factor: F = lift(chi) o Phi."""
-    if F.nvars % 2:
-        raise ValueError("even-dimensional splitter")
-    chi, phi = split_centralizer(F)
-    return chi, _phi_factor(phi, F.nvars, F.trunc)
-
-
-def halve_odd(F: FormalMap):
-    """Odd-dimensional version of halve_even; the base map keeps the
-    last coordinate as an extra augmented slot."""
-    if F.nvars % 2 == 0:
-        raise ValueError("odd-dimensional splitter")
-    chi, phi = split_centralizer(F)
-    return chi, _phi_factor(phi, F.nvars, F.trunc)
-
-
 def reduce_to_centralizer(F: FormalMap):
     """Write F with general diagonal linear part (det 1) as
     T1 o T2 o C o G o C^-1 with T1, T2 strongly reversible linear maps
@@ -1113,14 +1095,22 @@ def parse_certificate(text: str) -> dict:
         raise CertificateError("not valid JSON: nested too deeply") from None
     if not isinstance(cert, dict) or cert.get("format") != "revfactor-certificate":
         raise CertificateError("missing certificate format marker")
-    for key in ("mode", "degree", "target", "factors", "trace", "digest"):
+    for key in _CERT_KEYS:
         if key not in cert:
             raise CertificateError(f"certificate lacks the '{key}' field")
     return cert
 
 
 # field name -> JSON type, for the certificate, each factor and each witness
-_CERT_FIELDS = {"mode": str, "degree": int, "target": str, "factors": list, "trace": list}
+_CERT_FIELDS = {
+    "version": int,
+    "mode": str,
+    "degree": int,
+    "target": str,
+    "factors": list,
+    "trace": list,
+}
+_CERT_KEYS = ("format", *_CERT_FIELDS, "digest")
 _FACTOR_FIELDS = {"map": str, "kind": str, "witness": dict}
 _WITNESS_FIELDS = {"kind": str, "h": str, "degree": int}
 
@@ -1141,23 +1131,30 @@ def _check_fields(node, fields: dict, where: str) -> None:
 
 def certificate_factorization(cert: dict) -> Factorization:
     _check_fields(cert, _CERT_FIELDS, "certificate")
+    # a field this reader does not know could carry meaning it would ignore
+    for key in cert:
+        if key not in _CERT_KEYS:
+            raise CertificateError(f"unknown certificate field {key!r}")
+    if cert["version"] != 1:
+        raise CertificateError(f"unknown certificate version {cert['version']}")
     for k, item in enumerate(cert["factors"], 1):
         _check_fields(item, _FACTOR_FIELDS, f"factor {k}")
         _check_fields(item["witness"], _WITNESS_FIELDS, f"factor {k} witness")
     if not all(isinstance(step, str) for step in cert["trace"]):
         raise CertificateError("'trace' must be a list of strings")
+    # a format error names the field it is in and the line:col inside it
+    where, text = "target", cert["target"]
     try:
-        target = parse_map(cert["target"])
-        factors = tuple(
-            Factor(
-                parse_map(item["map"]),
-                Witness.from_json(item["witness"]),
-                item["kind"],
-            )
-            for item in cert["factors"]
-        )
-    except ValueError as exc:
-        raise CertificateError(f"malformed certificate body: {exc}") from None
+        target = parse_map(text)
+        factors = []
+        for k, item in enumerate(cert["factors"], 1):
+            where, text = f"factor {k} map", item["map"]
+            g = parse_map(text)
+            where, text = f"factor {k} witness", item["witness"]["h"]
+            factors.append(Factor(g, Witness.from_json(item["witness"]), item["kind"]))
+    except TextFormatError as exc:
+        line, col = exc.line_col(text)
+        raise CertificateError(f"{where}:{line}:{col}: {exc}") from None
     # an unknown value must not fall through to some default check
     if cert["mode"] not in _MODES:
         raise CertificateError(f"unknown mode {cert['mode']!r}")
@@ -1182,7 +1179,7 @@ def certificate_factorization(cert: dict) -> Factorization:
                 f"factor {k}: witness degree {f.witness.checked_degree} "
                 f"differs from the target's N={target.trunc}"
             )
-    return Factorization(target, cert["mode"], factors, tuple(cert["trace"]))
+    return Factorization(target, cert["mode"], tuple(factors), tuple(cert["trace"]))
 
 
 def _truncate_factorization(fz: Factorization, degree: int) -> Factorization:

@@ -16,7 +16,7 @@ from .series import (
     Series,
     SeriesFormatError,
     TruncationMismatch,
-    _parse_braced_terms,
+    _Reader,
     compose,
     format_series,
 )
@@ -494,61 +494,14 @@ def format_map(F: FormalMap) -> str:
 
 def parse_map(text: str) -> FormalMap:
     """Parse the map text format (component series inherit n and N)."""
-    s = text.strip()
-    if not s.startswith("map"):
-        raise SeriesFormatError("map text must start with 'map'")
-    rest = s[len("map"):].strip()
-    try:
-        ntok, rest = rest.split(None, 1)
-        dtok, rest = rest.split(None, 1)
-        if not ntok.startswith("n=") or not dtok.startswith("N="):
-            raise ValueError
-        nvars = int(ntok[2:])
-        trunc = int(dtok[2:])
-    except ValueError as exc:
-        raise SeriesFormatError("map header must look like 'map n=2 N=6'") from exc
-    rest = rest.strip()
-    if not (rest.startswith("{") and rest.endswith("}")):
-        raise SeriesFormatError("map body must be braced")
-    body = rest[1:-1]
-    # split on ';' at brace depth zero (component bodies contain ';' too)
-    chunks, depth, cur = [], 0, ""
-    for ch in body:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise SeriesFormatError("unbalanced braces in map body")
-        if ch == ";" and depth == 0:
-            chunks.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        chunks.append(cur)
-    if depth != 0:
-        raise SeriesFormatError("unbalanced braces in map body")
-    comps: dict[int, Series] = {}
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, series_body = chunk.partition(":")
-        name = name.strip()
-        if not name.startswith("comp"):
-            raise SeriesFormatError(f"expected compK label, got {name!r}")
-        try:
-            idx = int(name[4:])
-        except ValueError as exc:
-            raise SeriesFormatError(f"bad component label {name!r}") from exc
-        if idx < 1 or idx > nvars:
-            raise SeriesFormatError(f"component index {idx} out of range")
-        if idx in comps:
-            raise SeriesFormatError(f"duplicate component comp{idx}")
-        comps[idx] = _parse_braced_terms(series_body.strip(), nvars, trunc)
-    if len(comps) != nvars:
+    reader = _Reader(text)
+    n, N = reader.header("map")
+    comps = reader.components(n, N)
+    if len(comps) != n:
         raise SeriesFormatError(
-            f"map needs components comp1..comp{nvars}, got {sorted(comps)}"
+            f"map needs components comp1..comp{n}, got {sorted(comps)}", reader.pos - 1
         )
-    return FormalMap([comps[i + 1] for i in range(nvars)])
+    reader.end()
+    # the reader checked what the constructor would: n components in one
+    # ring, none with a constant term
+    return FormalMap.__new_raw__(n, N, tuple(comps[k] for k in range(1, n + 1)))

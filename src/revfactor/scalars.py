@@ -408,7 +408,24 @@ def reverser_seeds(p: int):
 _UNIT_NAMES = ("", "i", "r3", "i*r3")
 
 
-class ScalarFormatError(ValueError):
+class TextFormatError(ValueError):
+    """Malformed text in one of the package's formats.
+
+    ``offset`` is the index in the text read at which the fault was found,
+    0 <= offset <= len(text).
+    """
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.offset = offset
+
+    def line_col(self, text: str):
+        """The 1-based (line, column) of the offset in ``text``."""
+        line = text.count("\n", 0, self.offset) + 1
+        return line, self.offset - text.rfind("\n", 0, self.offset)
+
+
+class ScalarFormatError(TextFormatError):
     """Raised for malformed scalar text."""
 
 
@@ -439,77 +456,105 @@ def format_scalar(x: Scalar) -> str:
     return out
 
 
-_UNIT_INDEX = {"": 0, "i": 1, "r3": 2, "i*r3": 3, "r3*i": 3}
+# The int-string digit limit that Python 3.11 applies by default, applied
+# on every version: no digit string read may be longer, and no decimal
+# exponent larger in absolute value.  int() of a long digit string and
+# 10**e are computed eagerly, so one unbounded literal could stall a reader.
+DIGIT_LIMIT = 4300
+
+_DIGITS = r"[0-9]+(?:_[0-9]+)*"
+_UNIT = r"i\s*\*\s*r3|r3\s*\*\s*i|i|r3"
+# one signed term: a run of signs, then a rational with an optional unit,
+# or a bare unit
+_TERM = re.compile(
+    rf"\s*(?P<sign>[+-][\s+-]*)?(?:(?P<rat>(?P<p>{_DIGITS})/(?P<q>{_DIGITS})"
+    rf"|(?=\.?[0-9])(?P<int>{_DIGITS})?(?:\.(?P<frac>{_DIGITS})?)?"
+    rf"(?:[eE](?P<exp>[+-]?{_DIGITS}))?)(?:\s*\*\s*(?P<unit>{_UNIT}))?"
+    rf"|(?P<bare>{_UNIT}))"
+)
+# the common coefficient, an integer or a fraction, read without the loop;
+# the digit bounds keep int() inside the int-string limit
+_PLAIN = re.compile(
+    rf"\s*(-?[0-9]{{1,{DIGIT_LIMIT}}})(?:/([1-9][0-9]{{0,{DIGIT_LIMIT - 1}}}))?\s*\Z"
+)
 
 
-def _parse_term(term: str):
-    """(basis index, numerator, positive denominator) of one unsigned term."""
-    pieces = [p.strip() for p in term.split("*")]
-    if not pieces[0]:
-        raise ScalarFormatError(f"empty term in scalar: {term!r}")
-    head = pieces[0]
-    if head in ("i", "r3"):
-        num, den = 1, 1
-        units = pieces
-    else:
-        # plain p and p/q are read as ints; Fraction reads them alike and
-        # takes every other literal
-        p, slash, q = head.partition("/")
-        try:
-            if p.isdigit() and (q.isdigit() or not slash):
-                num, den = int(p), int(q or 1)
-                if not den:
-                    raise ZeroDivisionError
-            else:
-                x = Fraction(head)
-                num, den = x.numerator, x.denominator
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarFormatError(f"bad rational {head!r}") from exc
-        units = pieces[1:]
-    unit = "*".join(units)
-    if unit not in _UNIT_INDEX:
-        raise ScalarFormatError(f"unknown unit {unit!r} in term {term!r}")
-    return _UNIT_INDEX[unit], num, den
+def _int(digits: str, offset: int) -> int:
+    if len(digits) > DIGIT_LIMIT:
+        raise ScalarFormatError(f"number longer than {DIGIT_LIMIT} digits", offset)
+    return int(digits)
 
 
-# A sign joins two terms unless it follows the exponent marker of a
-# decimal literal, as in 1e-2; splitting keeps the signs as tokens.
-_SIGN = re.compile(r"(?<![\d.][eE])([+-])")
+def _rational(m, offset: int):
+    """(numerator, positive denominator) of the rational a _TERM matched."""
+    p, q = m.group("p", "q")
+    if p is not None:
+        den = _int(q, offset)
+        if not den:
+            raise ScalarFormatError(f"zero denominator in {m.group('rat')!r}", offset)
+        return _int(p, offset), den
+    whole, frac, exp = m.group("int", "frac", "exp")
+    frac = (frac or "").replace("_", "")
+    num, den = _int((whole or "") + frac, offset), 10 ** len(frac)
+    if exp is not None:
+        k = _int(exp.replace("_", ""), offset)
+        if abs(k) > DIGIT_LIMIT:
+            raise ScalarFormatError(
+                f"decimal exponent {k} exceeds {DIGIT_LIMIT} in absolute value", offset
+            )
+        if k < 0:
+            den *= 10**-k
+        else:
+            num *= 10**k
+    return num, den
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the textual scalar format.
 
-    Accepts sums of terms ``p/q``, ``p/q*i``, ``p/q*r3``, ``p/q*i*r3``
-    joined by + and -; bare ``i`` and ``r3`` are allowed as terms.  A
-    rational ``p/q`` is anything ``fractions.Fraction`` parses from a
-    string, such as ``3``, ``-1/2``, ``1.5``, ``1e2`` or ``1e-2``.
+    A scalar is a sum of terms ``p/q``, ``p/q*i``, ``p/q*r3``,
+    ``p/q*i*r3`` (or ``r3*i``) and bare units ``i``, ``r3``, ``i*r3``,
+    joined by runs of + and -.  A rational is ``p/q`` with digit strings p
+    and q, q nonzero, or a decimal such as ``3``, ``1.5``, ``.5`` or
+    ``1e-2``; digits may be grouped by underscores.  No digit string
+    is longer than DIGIT_LIMIT, and no decimal exponent is larger in
+    absolute value.  The README gives the grammar.  Errors carry the
+    offset in ``text``.
     """
-    if not text.strip():
-        raise ScalarFormatError("empty scalar text")
+    plain = _PLAIN.match(text)
+    if plain is not None:
+        p, q = plain.groups()
+        return _make(int(p), 0, 0, 0, int(q) if q else 1)
+    end = len(text.rstrip())
+    if not end:
+        raise ScalarFormatError("empty scalar", 0)
     nums, den = [0, 0, 0, 0], 1
-    sign = 1
-    found = False
-    # tokens alternate: term text, sign, term text, ...; consecutive signs
-    # leave empty term texts between them and multiply
-    for k, token in enumerate(_SIGN.split(text)):
-        if k % 2:
-            if token == "-":
-                sign = -sign
-            continue
-        term = token.strip()
-        if term:
-            idx, num, q = _parse_term(term)
-            if q != den:
-                l = lcm(den, q)
-                nums = [x * (l // den) for x in nums]
-                num *= l // q
-                den = l
-            nums[idx] += sign * num
-            sign = 1
-            found = True
-    if not found:
-        raise ScalarFormatError(f"no terms in scalar {text!r}")
+    pos = 0
+    while pos < end:
+        m = _TERM.match(text, pos)
+        if m is None:
+            at = len(text) - len(text[pos:].lstrip())
+            raise ScalarFormatError(f"expected a term at {text[at:at + 12]!r}", at)
+        sign = m.group("sign")
+        rat = m.group("rat")
+        if pos and sign is None:
+            at = m.start("rat" if rat is not None else "bare")
+            raise ScalarFormatError("terms must be joined by '+' or '-'", at)
+        if rat is not None:
+            num, q = _rational(m, m.start("rat"))
+            unit = m.group("unit")
+        else:
+            num, q, unit = 1, 1, m.group("bare")
+        idx = 0 if unit is None else 3 if "*" in unit else 1 if unit == "i" else 2
+        if sign is not None and sign.count("-") % 2:
+            num = -num
+        if q != den:
+            l = lcm(den, q)
+            nums = [x * (l // den) for x in nums]
+            num *= l // q
+            den = l
+        nums[idx] += num
+        pos = m.end()
     return _make(*nums, den)
 
 

@@ -30,24 +30,40 @@ d as raw numerators over D**d: a monomial power costs integer
 multiply-adds only, with no gcd, lcm or Scalar, and each output
 coefficient is reduced once.  The normal form of a Scalar is unique, so
 results do not depend on where the reduction happens.
+
+The text format of series and maps lives here too: ``format_series``,
+``parse_series``, and the one lexer and reader behind ``maps.parse_map``.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from functools import cache
 from math import lcm
 from operator import mul
 
-from .scalars import ONE, ZERO, Scalar, _make, _product, format_scalar, parse_scalar, scalar
+from .scalars import (
+    DIGIT_LIMIT,
+    ONE,
+    ZERO,
+    Scalar,
+    ScalarFormatError,
+    TextFormatError,
+    _make,
+    _product,
+    format_scalar,
+    parse_scalar,
+    scalar,
+)
 
 
 class TruncationMismatch(ValueError):
     """Raised when series with different truncation/arity are combined."""
 
 
-class SeriesFormatError(ValueError):
-    """Raised for malformed series text."""
+class SeriesFormatError(TextFormatError):
+    """Raised for malformed series or map text."""
 
 
 # ---------------------------------------------------------------------------
@@ -552,56 +568,134 @@ def format_series(s: Series, header: bool = True) -> str:
     return f"series n={s.nvars} N={s.trunc} {inner}"
 
 
-def _parse_braced_terms(body: str, nvars: int, trunc: int) -> Series:
-    body = body.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise SeriesFormatError(f"expected braced term list, got {body[:40]!r}")
-    inner = body[1:-1].strip()
-    coeffs = {}
-    if inner:
-        for chunk in inner.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ":" not in chunk:
-                raise SeriesFormatError(f"missing ':' in term {chunk!r}")
-            mono, _, val = chunk.partition(":")
-            mono = mono.strip()
-            if not (mono.startswith("[") and mono.endswith("]")):
-                raise SeriesFormatError(f"bad monomial {mono!r}")
-            try:
-                e = tuple(int(x) for x in mono[1:-1].split(","))
-            except ValueError as exc:
-                raise SeriesFormatError(f"bad monomial {mono!r}") from exc
+# One lexer and one reader serve both formats:
+#
+#     series n=<k> N=<d> { [e1,...,ek]: <scalar> ; ... }
+#     map n=<k> N=<d> { comp1: { ... } ; ... ; compk: { ... } }
+#
+# A token is one match of _TOKEN at the reader's position; its kind is the
+# name of the alternative that matched, and every error carries the offset
+# of the token it is about.
+_NUM = rf"[0-9]{{1,{DIGIT_LIMIT}}}"
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<term>\[(?P<exps>\s*{_NUM}(?:\s*,\s*{_NUM})*\s*)\]\s*:\s*"
+    r"(?P<value>[^\]\[{};:]*))"
+    r"|(?P<open>\{)|(?P<close>\})|(?P<semi>;)"
+    rf"|(?P<comp>comp(?P<index>{_NUM})\s*:)"
+    rf"|(?P<header>(?P<kind>[a-z]+)\s+n=(?P<n>{_NUM})\s+N=(?P<N>{_NUM}))"
+    r"|(?P<end>\Z))"
+)
+
+
+class _Reader:
+    """Reads series and map text token by token, left to right."""
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _next(self):
+        m = _TOKEN.match(self.text, self.pos)
+        if m is None:
+            text = self.text
+            at = len(text) - len(text[self.pos:].lstrip())
+            raise SeriesFormatError(f"cannot read {text[at:at + 16]!r}", at)
+        self.pos = m.end()
+        return m.lastgroup, m
+
+    def _unexpected(self, what: str, kind: str, m) -> SeriesFormatError:
+        at = m.start(kind)
+        found = "the end of the text" if kind == "end" else repr(self.text[at:at + 16])
+        return SeriesFormatError(f"expected {what}, found {found}", at)
+
+    def _expect(self, kind: str, what: str):
+        got, m = self._next()
+        if got != kind:
+            raise self._unexpected(what, got, m)
+        return m
+
+    def _more(self) -> bool:
+        """Read the ';' before another item (True) or the closing '}'."""
+        kind, m = self._next()
+        if kind == "close":
+            return False
+        if kind != "semi":
+            raise self._unexpected("';' or '}'", kind, m)
+        return True
+
+    def header(self, kind: str):
+        """Read '<kind> n=<k> N=<d>' and return (k, d)."""
+        m = self._expect("header", f"'{kind} n=<k> N=<d>'")
+        at = m.start("header")
+        if m.group("kind") != kind:
+            raise SeriesFormatError(f"expected {kind} text, found {m.group('kind')!r}", at)
+        n, N = int(m.group("n")), int(m.group("N"))
+        if n < 1 or N < 1:
+            raise SeriesFormatError(f"{kind} needs n >= 1 and N >= 1", at)
+        return n, N
+
+    def end(self) -> None:
+        self._expect("end", "the end of the text")
+
+    def series(self, nvars: int, trunc: int) -> Series:
+        """Read '{ }' or '{' term (';' term)* '}'."""
+        self._expect("open", "'{'")
+        base = trunc + 1
+        seen = set()
+        terms = {}
+        kind, m = self._next()
+        if kind == "close":
+            return _new(nvars, trunc, terms)
+        while True:
+            if kind != "term":
+                raise self._unexpected("a term '[exponents]: coefficient'", kind, m)
+            at = m.start("term")
+            e = tuple(map(int, m.group("exps").split(",")))
             if len(e) != nvars:
                 raise SeriesFormatError(
-                    f"monomial {mono} has {len(e)} exponents, expected {nvars}"
+                    f"monomial has {len(e)} exponents, expected {nvars}", at
                 )
-            if any(x < 0 for x in e):
-                raise SeriesFormatError(f"negative exponent in {mono}")
-            if e in coeffs:
-                raise SeriesFormatError(f"duplicate monomial {mono}")
-            coeffs[e] = parse_scalar(val.strip())
-    return Series(nvars, trunc, coeffs)
+            if e in seen:
+                raise SeriesFormatError(f"duplicate monomial {list(e)}", at)
+            seen.add(e)
+            try:
+                v = parse_scalar(m.group("value"))
+            except ScalarFormatError as exc:
+                exc.offset += m.start("value")
+                raise
+            if sum(e) <= trunc and not v.is_zero():
+                terms[_pack(e, base)] = v
+            if not self._more():
+                return _new(nvars, trunc, terms)
+            kind, m = self._next()
+
+    def components(self, nvars: int, trunc: int) -> dict:
+        """Read '{' compK: series (';' compK: series)* '}' into a dict
+        K -> Series; each K is in 1..nvars and appears once, and no
+        component has a constant term."""
+        self._expect("open", "'{'")
+        comps = {}
+        while True:
+            m = self._expect("comp", "a component label 'compK:'")
+            at = m.start("comp")
+            k = int(m.group("index"))
+            if not 1 <= k <= nvars:
+                raise SeriesFormatError(f"component index {k} out of range", at)
+            if k in comps:
+                raise SeriesFormatError(f"duplicate component comp{k}", at)
+            s = comps[k] = self.series(nvars, trunc)
+            if 0 in s._terms:
+                raise SeriesFormatError(f"comp{k} has a constant term; maps fix the origin", at)
+            if not self._more():
+                return comps
 
 
 def parse_series(text: str) -> Series:
     """Parse ``series n=<k> N=<d> { ... }``."""
-    s = text.strip()
-    if not s.startswith("series"):
-        raise SeriesFormatError("series text must start with 'series'")
-    rest = s[len("series"):].strip()
-    try:
-        ntok, rest = rest.split(None, 1)
-        dtok, rest = rest.split(None, 1)
-        if not ntok.startswith("n=") or not dtok.startswith("N="):
-            raise ValueError
-        nvars = int(ntok[2:])
-        trunc = int(dtok[2:])
-    except ValueError as exc:
-        raise SeriesFormatError(
-            "series header must look like 'series n=2 N=6'"
-        ) from exc
-    if nvars < 1 or trunc < 1:
-        raise SeriesFormatError("series needs n >= 1 and N >= 1")
-    return _parse_braced_terms(rest, nvars, trunc)
+    reader = _Reader(text)
+    nvars, trunc = reader.header("series")
+    s = reader.series(nvars, trunc)
+    reader.end()
+    return s

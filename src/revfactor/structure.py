@@ -528,76 +528,3 @@ def split_centralizer(F: FormalMap):
     if kernel_embed(phi, n) != K:
         raise ShapeError("remainder is not a kernel element")
     return chi, phi
-
-
-# ---------------------------------------------------------------------------
-# serialization of centralizer data
-
-def format_centralizer_data(phi, psi: Series | None = None) -> str:
-    from .series import format_series
-
-    parts = [
-        f"unit{i + 1}: " + format_series(u, header=False)
-        for i, u in enumerate(phi)
-    ]
-    if psi is not None:
-        parts.append("last: " + format_series(psi, header=False))
-    width = phi[0].nvars
-    N = phi[0].trunc
-    n = len(phi) + (1 if psi is not None else 0)
-    return f"units n={n} k={width} N={N} " + "{ " + " ; ".join(parts) + " }"
-
-
-def parse_centralizer_data(text: str):
-    from .series import SeriesFormatError, _parse_braced_terms
-
-    s = text.strip()
-    if not s.startswith("units"):
-        raise SeriesFormatError("unit data must start with 'units'")
-    rest = s[len("units"):].strip()
-    try:
-        ntok, ktok, dtok, rest = rest.split(None, 3)
-        n = int(ntok[2:])
-        width = int(ktok[2:])
-        N = int(dtok[2:])
-        if not (ntok.startswith("n=") and ktok.startswith("k=") and dtok.startswith("N=")):
-            raise ValueError
-    except ValueError as exc:
-        raise SeriesFormatError("unit data header must be 'units n=.. k=.. N=..'") from exc
-    rest = rest.strip()
-    if not (rest.startswith("{") and rest.endswith("}")):
-        raise SeriesFormatError("unit data body must be braced")
-    body = rest[1:-1]
-    chunks, depth, cur = [], 0, ""
-    for ch in body:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            chunks.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        chunks.append(cur)
-    units: dict[int, Series] = {}
-    psi = None
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, series_body = chunk.partition(":")
-        name = name.strip()
-        if name == "last":
-            psi = _parse_braced_terms(series_body.strip(), width, N)
-        elif name.startswith("unit"):
-            idx = int(name[4:])
-            units[idx] = _parse_braced_terms(series_body.strip(), width, N)
-        else:
-            raise SeriesFormatError(f"unknown tag {name!r} in unit data")
-    phi = tuple(units[i + 1] for i in range(len(units)))
-    expected = len(phi) + (1 if psi is not None else 0)
-    if expected != n:
-        raise SeriesFormatError("unit data does not match declared dimension")
-    return phi, psi

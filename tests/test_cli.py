@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -150,6 +151,74 @@ def test_parse_error_reports_line_and_column(tmp_path, capsys):
     assert main(["invert", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bad.map:2:12:" in err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # a three-exponent monomial in a two-variable map
+        ("map n=2 N=6 {\n  comp1: { [1,0]: 3 } ;\n  comp2: { [0,1]: 1 ; [1,0,0]: 2 } }\n", "3:23"),
+        # a scalar error is reported where its term starts
+        ("map n=2 N=6 {\n comp1: { [1,0]: 1 } ;\n comp2: { [0,1]: 1/0 } }\n", "3:18"),
+        ("map n=2 N=6 {\n  comp1: { [1,0]: 2* } ;\n  comp2: { [0,1]: 1 } }\n", "2:20"),
+        ("map n=2 N=6 {\n  comp1: { [1,0]: 1 } ;\n  comp2: { [0,0]: 1 ; [0,1]: 1 } }\n", "3:3"),
+        ("map n=2 N=6 {\n  comp1: { [1,0]: 1 }\n  comp2: { [0,1]: 1 } }\n", "3:3"),
+        ("map n=2 N=6 {\n  comp1: { [1,0]: 1 } }\n", "2:23"),
+    ],
+    ids=["arity", "zero-denominator", "empty-unit", "constant-term", "missing-semicolon", "missing-component"],
+)
+def test_map_errors_report_file_line_and_column(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.map"
+    bad.write_text(text)
+    assert main(["invert", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{where}: "), err
+
+
+def _factored(tmp_path, capsys, fmap):
+    cert = tmp_path / "c.json"
+    assert main(["factor", str(fmap), "--out", str(cert)]) == 0
+    capsys.readouterr()
+    return cert, json.loads(cert.read_text())
+
+
+def test_certificate_errors_name_the_field_and_position(tmp_path, capsys, fmap):
+    cert, honest = _factored(tmp_path, capsys, fmap)
+    cases = [
+        (("target",), lambda t: t.replace("[1,0]: 3 ;", "[1,0]: 3* ;", 1), "target:1:32:"),
+        (("factors", 0, "map"), lambda t: t.replace("]:", ",0]:", 1), "factor 1 map:1:24:"),
+        (
+            ("factors", 1, "witness", "h"),
+            lambda t: "map n=2 N=6 {\n comp1: { [1,0]: 1 } ;\n comp2: { [0,1]: 1/0 } }",
+            "factor 2 witness:3:18:",
+        ),
+    ]
+    for path, edit, where in cases:
+        payload = json.loads(json.dumps(honest))
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = edit(node[path[-1]])
+        cert.write_text(_redigest(payload))
+        assert main(["verify", str(cert)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where} "), where
+
+
+def test_huge_decimal_exponent_exits_2_quickly(tmp_path, capsys, fmap):
+    literal = "1e999999999"
+    bad = tmp_path / "bad.map"
+    bad.write_text(F_TEXT.replace("[2,1]: 1", f"[2,1]: {literal}"))
+    start = time.perf_counter()
+    assert main(["invert", str(bad)]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"{bad}:1:42: decimal exponent" in capsys.readouterr().err
+    cert, payload = _factored(tmp_path, capsys, fmap)
+    payload["target"] = payload["target"].replace("[2,1]: 1", f"[2,1]: {literal}")
+    cert.write_text(_redigest(payload))
+    start = time.perf_counter()
+    assert main(["verify", str(cert)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: target:1:42: decimal exponent")
 
 
 def test_truncation_flag_lowers_and_refuses_to_raise(tmp_path, capsys, fmap):

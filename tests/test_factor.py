@@ -17,6 +17,7 @@ from revfactor.maps import (
     map_invert,
     parse_map,
 )
+from revfactor.cli import main
 from revfactor.normalform import Witness, poincare_dulac, verify_witness
 from revfactor.structure import (
     PairedDiagonal,
@@ -40,8 +41,6 @@ from revfactor.factor import (
     factor_involutions,
     factor_reversibles,
     format_certificate,
-    halve_even,
-    halve_odd,
     lift_permutation,
     parse_certificate,
     reduce_to_centralizer,
@@ -434,50 +433,6 @@ def test_factor_dim1():
 
 
 # ---------------------------------------------------------------------------
-# halving a centralizer element
-
-
-def test_halve_even_contract():
-    def u(data):
-        return Series(2, 6, data)
-
-    phi = (
-        u({(0, 0): 1, (1, 0): 1}),
-        u({(0, 0): 1, (0, 1): 2}),
-        u({(0, 0): 2, (1, 1): 1}),
-        u({(0, 0): Q(1, 2), (1, 0): -1}),
-    )
-    F = make_centralizer(phi)
-    chi, pf = halve_even(F)
-    assert pf is not None
-    rebuilt = map_compose(lift_section(chi, 4), pf.map)
-    assert rebuilt == F
-    assert verify_witness(pf.map, pf.witness)
-    with pytest.raises(ValueError):
-        halve_even(parse_map("map n=3 N=4 { comp1: { [1,0,0]: 1 } ; "
-                             "comp2: { [0,1,0]: 1 } ; comp3: { [0,0,1]: 1 } }"))
-
-
-def test_halve_odd_contract():
-    def u(data):
-        return Series(3, 6, data)
-
-    phi = (
-        u({(0, 0, 0): 1, (1, 0, 0): 1}),
-        u({(0, 0, 0): 1, (0, 1, 0): 2}),
-        u({(0, 0, 0): 3, (0, 0, 1): 1}),
-        u({(0, 0, 0): Q(1, 3), (1, 0, 1): -1}),
-    )
-    psi = u({(0, 0, 1): 2, (1, 0, 1): 1})
-    F = make_centralizer(phi, psi)
-    chi, pf = halve_odd(F)
-    assert pf is not None
-    rebuilt = map_compose(lift_section(chi, 5), pf.map)
-    assert rebuilt == F
-    assert verify_witness(pf.map, pf.witness)
-
-
-# ---------------------------------------------------------------------------
 # verification reports
 
 
@@ -704,6 +659,30 @@ def test_certificate_schema_violations_are_malformed(mutation):
     cert["digest"] = _digest(cert)
     with pytest.raises(CertificateError):
         verify_certificate(cert)
+
+
+# the version must be the integer 1, and a top-level field the verifier
+# does not know is malformed rather than ignored
+VERSION_MUTATIONS = {
+    "version-99": _set(("version",), 99),
+    "version-null": _set(("version",), None),
+    "version-string": _set(("version",), "x"),
+    "version-true": _set(("version",), True),
+    "version-deleted": lambda c: c.pop("version"),
+    "unknown-top-level-key": _set(("extra",), 1),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(VERSION_MUTATIONS))
+def test_certificate_version_and_unknown_fields_exit_2(tmp_path, capsys, mutation):
+    cert = certificate(factor_reversibles(parse_map(INSTANCES[0][1])))
+    VERSION_MUTATIONS[mutation](cert)
+    cert["digest"] = _digest(cert)
+    path = tmp_path / "c.json"
+    path.write_text(format_certificate(cert))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

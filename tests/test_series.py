@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revfactor.maps import FormalMap, composite_part
-from revfactor.scalars import Scalar, rat
+from revfactor.maps import FormalMap, composite_part, format_map, parse_map
+from revfactor.scalars import Scalar, ScalarFormatError, rat
 from revfactor.series import (
     Series,
     SeriesFormatError,
@@ -339,3 +339,56 @@ def test_product_over_differing_denominators(case):
     want = ref_mul(_nonzero(a), _nonzero(b), N)
     assert dict((sa * sb).coeffs) == want
     assert dict((sb * sa).coeffs) == want
+
+
+# ---------------------------------------------------------------------------
+# the text reader under mutation
+
+
+@st.composite
+def texts(draw):
+    """(parser, formatter, text): a formatted series or map."""
+    n, N = draw(rings())
+    if draw(st.booleans()):
+        return parse_series, format_series, format_series(Series(n, N, draw(series_in(n, N))))
+    comps = [Series(n, N, draw(series_in(n, N, low=1))) for _ in range(n)]
+    return parse_map, format_map, format_map(FormalMap(comps))
+
+
+@st.composite
+def mutated(draw):
+    """A formatted text truncated, with one character deleted, or with one
+    of the format's punctuation characters inserted or duplicated."""
+    parse, fmt, text = draw(texts())
+    at = draw(st.integers(0, len(text)))
+    how = draw(st.sampled_from(["truncate", "delete", "insert", "duplicate"]))
+    if how == "truncate":
+        text = text[:at]
+    elif how == "delete":
+        text = text[:at] + text[at + 1:]
+    elif how == "insert":
+        text = text[:at] + draw(st.sampled_from("{}[];:,/*+-e")) + text[at:]
+    else:
+        marks = [k for k, c in enumerate(text) if c in "{}[];:,/*+-e"]
+        k = draw(st.sampled_from(marks))
+        text = text[:k] + text[k] + text[k:]
+    return parse, fmt, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts())
+def test_reader_round_trips_formatted_text(case):
+    parse, fmt, text = case
+    assert fmt(parse(text)) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated())
+def test_reader_rejects_mutations_with_an_offset(case):
+    parse, fmt, text = case
+    try:
+        value = parse(text)
+    except (SeriesFormatError, ScalarFormatError) as exc:
+        assert 0 <= exc.offset <= len(text)
+    else:
+        assert parse(fmt(value)) == value

@@ -15,7 +15,6 @@ from revfactor.structure import (
     centralizer_membership,
     extract_centralizer,
     extract_unit_shape,
-    format_centralizer_data,
     fresh_prime_diagonal,
     half_counts,
     kernel_embed,
@@ -25,7 +24,6 @@ from revfactor.structure import (
     pair_products,
     pair_projection,
     pair_swap,
-    parse_centralizer_data,
     project_base,
     split_centralizer,
     unit_insertion,
@@ -439,22 +437,6 @@ def test_composition_law_unit_shape():
     a, b = make_unit_shape(lams), make_unit_shape(lams2)
     want = make_unit_shape(_compose_units(lams, lams2, b))
     assert map_compose(a, b) == want
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_centralizer_data_roundtrip():
-    rng = random.Random(61)
-    phi = tuple(_random_unit(2, 5, rng) for _ in range(2))
-    psi = _random_admissible(2, 5, rng)
-    text = format_centralizer_data(phi, psi)
-    phi2, psi2 = parse_centralizer_data(text)
-    assert phi2 == phi and psi2 == psi
-    text_even = format_centralizer_data(phi, None)
-    phi3, psi3 = parse_centralizer_data(text_even)
-    assert phi3 == phi and psi3 is None
 
 
 def test_extract_unit_shape_flags():
