@@ -49,7 +49,13 @@ from .factor import (
 )
 from .maps import FormalMap, conjugate, format_map, map_compose, map_invert, parse_map
 from .normalform import poincare_dulac
-from .scalars import ONE, ScalarFormatError, TextFormatError, parse_scalar
+from .scalars import (
+    ONE,
+    ScalarFormatError,
+    ScalarTooLargeError,
+    TextFormatError,
+    parse_scalar,
+)
 from .series import TruncationMismatch
 from .structure import ShapeError, centralizer_membership, kernel_embed, split_centralizer
 
@@ -332,6 +338,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ScalarTooLargeError as exc:
+        # the result is exact but could not be read back as text
+        print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     except Exception as exc:
         # a bug, not a verdict on the input: report where it was raised and
         # never exit 1, which would read as a failed verification

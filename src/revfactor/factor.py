@@ -412,24 +412,11 @@ def split_diagonal_pair(T: Matrix):
     raise AssertionError("no admissible permutation")  # pragma: no cover
 
 
-def _prime_support(values):
-    from sympy import factorint
-
-    out = set()
-    for v in values:
-        if not v.is_rational():
-            continue
-        r = v.rational()
-        for x in (r.numerator, r.denominator):
-            out |= set(factorint(abs(int(x))).keys())
-    return out
-
-
 def split_paired_generic(T: PairedDiagonal):
     """A pair-reciprocal diagonal as a product of two generic ones.
 
-    Fresh primes avoiding the prime support of the multipliers go into
-    the first factor; the second factor is their reciprocal diagonal.
+    Fresh primes dividing no numerator or denominator of the multipliers
+    go into the first factor; the second factor is their reciprocal diagonal.
     Non-rational multipliers are rejected: pick the rebalancing primes
     by hand in that case and multiply directly.
     """
@@ -440,7 +427,7 @@ def split_paired_generic(T: PairedDiagonal):
                 "compose with a generic paired diagonal of your choice instead"
             )
     n = T.n
-    fresh = fresh_prime_diagonal(n, avoid=_prime_support(T.multipliers))
+    fresh = fresh_prime_diagonal(n, avoid=T.multipliers)
     lam = fresh.multipliers
     first = PairedDiagonal(
         tuple(a * p for a, p in zip(T.multipliers, lam)), n
@@ -818,7 +805,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
             )
         trace.append("generic paired linear part: normalization")
     else:
-        fresh = fresh_prime_diagonal(n, avoid=_prime_support(entries))
+        fresh = fresh_prime_diagonal(n, avoid=entries)
         M = map_compose(fresh.realize(N), W)
         K0 = None
         if not M.linear_part().is_diagonal():

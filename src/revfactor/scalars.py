@@ -429,11 +429,29 @@ class ScalarFormatError(TextFormatError):
     """Raised for malformed scalar text."""
 
 
+class ScalarTooLargeError(ValueError):
+    """Raised when a numerator or denominator has more than DIGIT_LIMIT
+    digits, so its text could not be read back."""
+
+
+def _digits(x: int) -> str:
+    # every x >= 10**DIGIT_LIMIT has at least _TOO_LONG_BITS bits, so the
+    # bit_length test spares ordinary coefficients the big comparison
+    if x.bit_length() >= _TOO_LONG_BITS and x >= _TOO_LONG:
+        raise ScalarTooLargeError(
+            f"coefficient with {x.bit_length()} bits has more than "
+            f"{DIGIT_LIMIT} digits, the longest number the reader accepts"
+        )
+    return str(x)
+
+
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: terms in basis order 1, i, r3, i*r3.
 
     Examples: ``1/2``, ``-1/2*i``, ``1 + 1*i``, ``-3/6 + 1/6*r3``  (the
-    last would of course print reduced as ``-1/2 + 1/6*r3``).
+    last would of course print reduced as ``-1/2 + 1/6*r3``).  Raises
+    ScalarTooLargeError for a numerator or denominator longer than
+    DIGIT_LIMIT digits.
     """
     *nums, den = x._v
     parts = []
@@ -441,9 +459,9 @@ def format_scalar(x: Scalar) -> str:
         if num == 0:
             continue
         g = gcd(num, den)
-        body = str(abs(num) // g)
+        body = _digits(abs(num) // g)
         if den != g:
-            body += f"/{den // g}"
+            body += "/" + _digits(den // g)
         if unit:
             body += "*" + unit
         parts.append(("-" if num < 0 else "+", body))
@@ -457,10 +475,13 @@ def format_scalar(x: Scalar) -> str:
 
 
 # The int-string digit limit that Python 3.11 applies by default, applied
-# on every version: no digit string read may be longer, and no decimal
-# exponent larger in absolute value.  int() of a long digit string and
-# 10**e are computed eagerly, so one unbounded literal could stall a reader.
+# on every version: no digit string read or written may be longer, and no
+# decimal exponent larger in absolute value.  int() of a long digit string
+# and 10**e are computed eagerly, so one unbounded literal could stall a
+# reader.
 DIGIT_LIMIT = 4300
+_TOO_LONG = 10**DIGIT_LIMIT
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
 
 _DIGITS = r"[0-9]+(?:_[0-9]+)*"
 _UNIT = r"i\s*\*\s*r3|r3\s*\*\s*i|i|r3"

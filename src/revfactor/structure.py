@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, takewhile
+from math import gcd
 
 from .scalars import ONE, Scalar, root_of_unity_order, scalar
 from .series import Series, TruncationMismatch, compose
@@ -95,30 +97,54 @@ def pair_swap(n: int, N: int) -> FormalMap:
 # paired diagonals and genericity
 
 
-def _rational_exponent_rows(values):
-    """Prime-exponent vectors of nonzero rationals, or None if some value
-    is not rational."""
-    from sympy import factorint  # deferred: sympy import is heavy
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 whose products give every value > 1.
 
-    rows = []
-    primes = []
-    for v in values:
-        if not v.is_rational():
-            return None, None
-        r = v.rational()
-        num, den = int(r.numerator), int(r.denominator)
-        vec = {}
-        for base, sign in ((abs(num), 1), (den, -1)):
-            if base == 1:
-                continue
-            for prime, exp in factorint(base).items():
-                vec[prime] = vec.get(prime, 0) + sign * exp
-        rows.append(vec)
-        for prime in vec:
-            if prime not in primes:
-                primes.append(prime)
-    primes.sort()
-    return [[Fraction(r.get(p, 0)) for p in primes] for r in rows], primes
+    Naive gcd refinement (Bernstein 2005, "Factoring into coprimes in
+    essentially linear time", J. Algorithms 54, for the fast version):
+    any pair with a gcd g > 1 is replaced by g, a/g and b/g.  Each split
+    shrinks the product of the pending and kept integers, so the loop ends.
+    """
+    base = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [x for x in (g, a // g, b // g) if x > 1]
+                break
+        else:
+            base.append(a)
+    return base
+
+
+def _valuation(x: int, c: int) -> int:
+    e = 0
+    while x % c == 0:
+        x //= c
+        e += 1
+    return e
+
+
+def _rational_exponent_rows(values):
+    """Exponent vectors of nonzero rationals over a coprime base of their
+    numerators and denominators, or None if some value is not rational.
+
+    Every prime divides exactly one base element, so the base-to-prime
+    exponent matrix has full row rank and these rows have the same rank
+    as the prime-exponent vectors, with no integer factoring.  Signs are
+    torsion and are dropped.
+    """
+    if not all(v.is_rational() for v in values):
+        return None
+    pairs = [v.rational().as_integer_ratio() for v in values]
+    base = _coprime_base([abs(x) for pair in pairs for x in pair])
+    return [
+        [Fraction(_valuation(abs(num), c) - _valuation(den, c)) for c in base]
+        for num, den in pairs
+    ]
 
 
 def _rational_rank(rows):
@@ -182,15 +208,16 @@ class PairedDiagonal:
         return FormalMap.diagonal(self.entries(), N)
 
     def genericity(self) -> GenericityReport:
-        """Exact for rational multipliers (prime-exponent ranks); detects
-        root-of-unity relations otherwise, else reports undecided."""
+        """Exact for rational multipliers (exponent ranks over a coprime
+        base); detects root-of-unity relations otherwise, else reports
+        undecided."""
         for j, mu in enumerate(self.multipliers):
             d = root_of_unity_order(mu)
             if d is not None:
                 return GenericityReport(
                     "not-generic", f"multiplier {j + 1} satisfies mu^{d} = 1"
                 )
-        rows, _ = _rational_exponent_rows(self.multipliers)
+        rows = _rational_exponent_rows(self.multipliers)
         if rows is None:
             return GenericityReport(
                 "undecided",
@@ -199,26 +226,36 @@ class PairedDiagonal:
         if _rational_rank(rows) == len(self.multipliers):
             return GenericityReport("generic")
         return GenericityReport(
-            "not-generic", "prime-exponent vectors are linearly dependent"
+            "not-generic", "exponent vectors are linearly dependent"
         )
 
     def is_generic(self) -> bool:
         return bool(self.genericity())
 
 
-def fresh_prime_diagonal(n: int, avoid=(), start: int = 2) -> PairedDiagonal:
-    """A generic paired diagonal built from distinct primes not in avoid."""
-    from sympy import nextprime
+def _primes():
+    """2, 3, 5, 7, ... by trial division against the primes found so far."""
+    found = []
+    for p in count(2):
+        if all(p % q for q in takewhile(lambda q: q * q <= p, found)):
+            found.append(p)
+            yield p
 
+
+def fresh_prime_diagonal(n: int, avoid=()) -> PairedDiagonal:
+    """A generic paired diagonal built from the smallest primes dividing no
+    numerator or denominator of the rational values in avoid (nonzero
+    scalars or ints)."""
     m, _ = half_counts(n)
-    avoid = {int(a) for a in avoid}
-    mult = []
-    p = max(start - 1, 1)
-    while len(mult) < m:
-        p = int(nextprime(p))
-        if p not in avoid:
-            mult.append(p)
-    return PairedDiagonal(tuple(Scalar(x) for x in mult), n)
+    avoid = [
+        abs(x)
+        for v in map(scalar, avoid)
+        if v.is_rational()
+        for x in v.rational().as_integer_ratio()
+        if abs(x) > 1
+    ]
+    mult = islice((p for p in _primes() if all(a % p for a in avoid)), m)
+    return PairedDiagonal(tuple(Scalar(p) for p in mult), n)
 
 
 # ---------------------------------------------------------------------------

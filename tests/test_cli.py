@@ -221,6 +221,15 @@ def test_huge_decimal_exponent_exits_2_quickly(tmp_path, capsys, fmap):
     assert capsys.readouterr().err.startswith("error: target:1:42: decimal exponent")
 
 
+def test_coefficient_too_long_to_write_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.map"
+    big.write_text("map n=1 N=6 { comp1: { [1]: 1 ; [2]: 1e4300 } }\n")
+    assert main(["invert", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than 4300 digits" in err
+    assert err.count("\n") == 1
+
+
 def test_truncation_flag_lowers_and_refuses_to_raise(tmp_path, capsys, fmap):
     assert main(["invert", str(fmap), "--truncation", "4"]) == 0
     assert parse_map(capsys.readouterr().out).trunc == 4

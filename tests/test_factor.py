@@ -1,6 +1,10 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,6 +426,58 @@ def test_driver_rejects_bad_linear_part():
     )
     with pytest.raises(ValueError):
         factor_reversibles(F)  # linear part not triangular
+
+
+# diag(2, 1/2, 4, 1/4) is paired but not generic (4 = 2^2): the driver
+# checks genericity, then rebalances with fresh primes
+NON_GENERIC_N4 = (
+    "map n=4 N=4 { comp1: { [1,0,0,0]: 2 ; [0,1,1,0]: 1 } ; "
+    "comp2: { [0,1,0,0]: 1/2 } ; comp3: { [0,0,1,0]: 4 ; [2,0,0,0]: 1 } ; "
+    "comp4: { [0,0,0,1]: 1/4 } }"
+)
+
+SYMPY_FREE_RUN = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises
+sys.path.insert(0, sys.argv[1])
+from revfactor import factor, maps, structure
+
+calls = []
+fresh, genericity = factor.fresh_prime_diagonal, structure.PairedDiagonal.genericity
+factor.fresh_prime_diagonal = lambda *a, **k: calls.append("fresh") or fresh(*a, **k)
+structure.PairedDiagonal.genericity = lambda d: calls.append("generic") or genericity(d)
+F = maps.parse_map(sys.argv[2])
+fz = factor.factor_reversibles(F)
+cert = factor.parse_certificate(factor.format_certificate(factor.certificate(fz)))
+assert fz.recompose() == F and factor.verify_certificate(cert).ok
+assert "fresh" in calls and "generic" in calls, calls
+"""
+
+
+def test_non_generic_factorization_runs_without_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", SYMPY_FREE_RUN, str(src), NON_GENERIC_N4],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_semiprime_multiplier_factors_quickly():
+    # lam is the product of two 24-digit primes; deciding genericity by
+    # factoring it took about 30 s
+    lam = 30000000000000000004401800000000000000084634319
+    F = parse_map(
+        f"map n=4 N=4 {{ comp1: {{ [1,0,0,0]: {lam} ; [0,1,1,0]: 1 }} ; "
+        "comp2: { [0,1,0,0]: 3 } ; comp3: { [0,0,1,0]: 1/3 ; [2,0,0,0]: 1 } ; "
+        f"comp4: {{ [0,0,0,1]: 1/{lam} }} }}"
+    )
+    start = time.perf_counter()
+    fz = factor_reversibles(F)
+    assert time.perf_counter() - start < 1
+    assert fz.recompose() == F
 
 
 def test_factor_dim1():

@@ -17,6 +17,7 @@ from revfactor.scalars import (
     FieldExtensionError,
     Scalar,
     ScalarFormatError,
+    ScalarTooLargeError,
     format_scalar,
     is_root_of_unity,
     parse_scalar,
@@ -201,6 +202,16 @@ def test_parse_scalar_grammar(text, value):
             parse_scalar(text)
     else:
         assert parse_scalar(text) == value
+
+
+def test_format_scalar_refuses_what_the_reader_would_reject():
+    longest = 10**4300 - 1  # 4300 nines
+    for x in (Scalar(longest), Scalar(Fraction(-1, longest)), Scalar(0, longest, 1)):
+        assert parse_scalar(format_scalar(x)) == x
+    too_long = 10**4300
+    for x in (Scalar(too_long), Scalar(Fraction(1, too_long)), Scalar(0, 0, -too_long)):
+        with pytest.raises(ScalarTooLargeError):
+            format_scalar(x)
 
 
 # ---------------------------------------------------------------------------

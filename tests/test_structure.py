@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from revfactor.structure import (
     split_centralizer,
     unit_insertion,
 )
+from revfactor.structure import _primes, _rational_exponent_rows, _rational_rank
 
 
 def _random_unit(nvars, N, rng, allow_zero_linear=False):
@@ -141,8 +143,57 @@ def test_pair_swap_shapes():
 
 def test_genericity_frozen_examples():
     assert PairedDiagonal((2, 3), 4).is_generic()
+    assert PairedDiagonal((6, 12), 4).is_generic()
     assert not PairedDiagonal((2, scalar(1) / 2), 4).is_generic()
     assert not PairedDiagonal((4, 2), 4).is_generic()
+    assert not PairedDiagonal((6, 36), 4).is_generic()
+    rep = PairedDiagonal((Fraction(10, 3), Fraction(9, 100)), 4).genericity()
+    assert rep.status == "not-generic"
+
+
+def _prime_exponent_rows(values):
+    """Reference rows by trial division: one column per prime."""
+    rows = []
+    for v in values:
+        row = {}
+        for x, sign in ((abs(v.numerator), 1), (v.denominator, -1)):
+            p = 2
+            while p * p <= x:
+                while x % p == 0:
+                    row[p] = row.get(p, 0) + sign
+                    x //= p
+                p += 1
+            if x > 1:
+                row[x] = row.get(x, 0) + sign
+        rows.append(row)
+    primes = sorted({p for row in rows for p in row})
+    return [[Fraction(row.get(p, 0)) for p in primes] for row in rows]
+
+
+# small bases make multiplicative relations common
+_factor = st.one_of(
+    st.integers(1, 10**6), st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 36, 1000])
+)
+_rational = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q), st.sampled_from([1, -1]), _factor, _factor
+)
+
+
+@given(st.lists(_rational, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_coprime_base_rank_equals_prime_exponent_rank(values):
+    rows = _rational_exponent_rows([scalar(v) for v in values])
+    assert _rational_rank(rows) == _rational_rank(_prime_exponent_rows(values))
+
+
+def test_prime_generator_yields_the_primes():
+    first_50 = [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+        71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
+        149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
+        227, 229,
+    ]
+    assert list(itertools.islice(_primes(), 50)) == first_50
 
 
 def test_genericity_root_of_unity_and_tower():
