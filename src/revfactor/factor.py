@@ -40,12 +40,14 @@ from .structure import (
     PairedDiagonal,
     ShapeError,
     centralizer_membership,
+    extract_unit_shape,
     fresh_prime_diagonal,
     half_counts,
     kernel_embed,
     lift_section,
     pair_swap,
     split_centralizer,
+    swap_perm,
 )
 
 
@@ -108,15 +110,6 @@ class UnitSpec:
 class DressSpec:
     dress: FormalMap
     inner: object
-
-
-def _swap_perm(k: int) -> tuple:
-    out = []
-    for i in range(k // 2):
-        out += [2 * i + 1, 2 * i]
-    if k % 2:
-        out.append(k - 1)
-    return tuple(out)
 
 
 def lift_permutation(perm: tuple, n: int) -> tuple:
@@ -186,6 +179,11 @@ def _materialize_spec(spec, m: FormalMap) -> FormalMap:
     raise TypeError(f"unknown witness spec {spec!r}")
 
 
+def _involution(m: FormalMap) -> Factor:
+    """The involution m as a factor that is its own witness."""
+    return Factor(m, Witness("involution_self", m, m.trunc), "involution")
+
+
 def _piece_factor(piece, N: int) -> Factor:
     m, spec, kind = piece
     h = _materialize_spec(spec, m)
@@ -200,30 +198,13 @@ def _piece_factor(piece, N: int) -> Factor:
     return Factor(m, w, kind)
 
 
-def _slot_units(m: FormalMap):
-    """Units u_i with m = (z_1 u_1, ..., z_k u_k), or None."""
-    units = []
-    for i, comp in enumerate(m.comps):
-        shifted = {}
-        for e, v in comp.coeffs.items():
-            if e[i] == 0:
-                return None
-            e2 = list(e)
-            e2[i] -= 1
-            shifted[tuple(e2)] = v
-        u = Series(m.nvars, m.trunc, shifted)
-        if u.coefficient((0,) * m.nvars).is_zero():
-            return None
-        units.append(u)
-    return units
-
-
 def unit_pairing_perm(m: FormalMap):
     """A permutation reversing a slot-unit map by transposing slots that
     carry reciprocal units; bare and self-reciprocal slots stay fixed.
     Verified exactly before returning; None when no pairing works."""
-    units = _slot_units(m)
-    if units is None:
+    try:
+        units, _ = extract_unit_shape(m, hat=False)
+    except ShapeError:
         return None
     k = m.nvars
     inv = [u.invert_unit() for u in units]
@@ -453,18 +434,85 @@ def split_diagonal_generic(T: Matrix):
 
 
 # ---------------------------------------------------------------------------
-# the level machine over base variables
+# diagonalize, normalize, rebalance: the step every level repeats
 
-def _shear_eigenbasis(L: Matrix) -> Matrix:
-    """Eigenbasis for diag + (last row) with distinct eigenvalues; the
-    basis change is itself a last-row shear, so it stays inside the
-    augmented unit-shape group and lifts."""
-    k = len(L.rows)
-    d = L.diagonal_entries()
-    rows = [[ONE if i == j else Scalar(0) for j in range(k)] for i in range(k)]
-    for i in range(k - 1):
-        rows[k - 1][i] = L.entry(k - 1, i) / (d[i] - d[k - 1])
-    return Matrix(rows)
+def _flipped(A: Matrix) -> Matrix:
+    """R A R for the order-reversing permutation R."""
+    return Matrix([row[::-1] for row in reversed(A.rows)])
+
+
+def _triangular_eigenbasis(L: Matrix) -> Matrix:
+    """The eigenbasis E of an upper or lower triangular L with distinct
+    eigenvalues, normalized to a unit diagonal, so E^-1 L E is diagonal.
+
+    E is triangular the same way as L.  For diag + (last row) it is a
+    last-row shear again, so it stays inside the augmented unit-shape
+    group and lifts.  A lower-triangular L is solved as R L R."""
+    lower = not L.is_upper_triangular()
+    U = _flipped(L) if lower else L
+    if not U.is_upper_triangular():
+        raise ValueError("need an upper or lower triangular matrix")
+    n = L.n
+    lam = L.diagonal_entries()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if lam[i] == lam[j]:
+                raise FactorObstruction(
+                    f"eigenvalue collision in slots {i + 1} and {j + 1}: "
+                    "cannot diagonalize the triangular linear part"
+                )
+    lam = U.diagonal_entries()
+    cols = []
+    for i in range(n):
+        v = [Scalar(0)] * n
+        v[i] = ONE
+        for j in range(i - 1, -1, -1):
+            acc = Scalar(0)
+            for k in range(j + 1, i + 1):
+                acc = acc + U.entry(j, k) * v[k]
+            v[j] = acc / (lam[i] - lam[j])
+        cols.append(v)
+    E = Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    return _flipped(E) if lower else E
+
+
+def _diagonalized(M: FormalMap):
+    """(E^-1 o M o E, E) for the eigenbasis E of M's triangular linear
+    part, or (M, None) when that part is already diagonal."""
+    L = M.linear_part()
+    if L.is_diagonal():
+        return M, None
+    E = _triangular_eigenbasis(L)
+    return conjugate_linear(M, E), E
+
+
+def _paired_normal_form(M: FormalMap, what: str, trace):
+    """The normal form M = K o G o K^-1 as (G, K), with G checked to lie
+    in the paired centralizer; ``what`` names G in the obstruction."""
+    G, K, _ = poincare_dulac(M)
+    back = centralizer_membership(G)
+    if not back:
+        raise FactorObstruction(
+            f"{what} left the paired shape: " + back.reason, trace=trace
+        )
+    return G, K
+
+
+def _rebalance(X: FormalMap, avoid, what: str, trace):
+    """Make X's linear part generic with a fresh-prime paired diagonal D,
+    diagonalize what stays triangular, and normalize:
+    D o X = K o G o K^-1.  Returns (G, K, D^-1 as a map)."""
+    N = X.trunc
+    D = fresh_prime_diagonal(X.nvars, avoid=avoid)
+    M, E = _diagonalized(map_compose(D.realize(N), X))
+    G, K = _paired_normal_form(M, what, trace)
+    if E is not None:
+        K = map_compose(FormalMap.from_linear(E, N), K)
+    return G, K, FormalMap.from_linear(D.matrix().inverse(), N)
+
+
+# ---------------------------------------------------------------------------
+# the level machine over base variables
 
 
 def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
@@ -504,38 +552,15 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
             (m, UnitSpec(w.h), _kind_for_witness(w))
             for m, w in dim1.split_reversibles(X)
         ]
-    mem = centralizer_membership(X)
     pre = []
     K = None
-    if mem:
+    if centralizer_membership(X):
         G = X
         trace.append(f"paired member at width {k}: direct split")
     else:
-        fresh = fresh_prime_diagonal(k)
-        M = map_compose(fresh.realize(N), X)
-        K0 = None
-        if not M.linear_part().is_diagonal():
-            # trailing-slot shear from resonant pair products
-            E = _shear_eigenbasis(M.linear_part())
-            K0 = FormalMap.from_linear(E, N)
-            M = conjugate_linear(M, E)
-        G, K, _ = poincare_dulac(M)
-        if K0 is not None:
-            K = map_compose(K0, K)
-        back = centralizer_membership(G)
-        if not back:
-            raise FactorObstruction(
-                f"normal form at width {k} left the paired shape: "
-                + back.reason,
-                trace=trace,
-            )
-        pre.append(
-            (
-                FormalMap.from_linear(fresh.matrix().inverse(), N),
-                PermSpec(_swap_perm(k)),
-                "linear",
-            )
-        )
+        # a trailing-slot shear from resonant pair products is diagonalized
+        G, K, Dinv = _rebalance(X, (), f"normal form at width {k}", trace)
+        pre.append((Dinv, PermSpec(swap_perm(k)), "linear"))
         trace.append(f"fresh-prime rebalance and normalization at width {k}")
     chi, phi = split_centralizer(G)
     inner = [
@@ -546,7 +571,7 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
     ]
     Phi = kernel_embed(phi, k)
     if not Phi.is_identity():
-        inner.append((Phi, PermSpec(_swap_perm(k)), "reversible"))
+        inner.append((Phi, PermSpec(swap_perm(k)), "reversible"))
     if K is not None:
         inner = _dress_pieces(inner, K)
     pieces = pre + inner
@@ -622,23 +647,13 @@ def reduce_to_centralizer(F: FormalMap):
         w2 = map_compose(map_compose(Pinv, J), P)
         prefix.append(Factor(T2m, Witness("involutive_reverser", w2, N), "linear"))
     W = map_compose(FormalMap.from_linear((T1.matrix() * T2).inverse(), N), F)
-    K0 = None
-    if not W.linear_part().is_diagonal():
-        E = _triangular_eigenbasis(W.linear_part())
-        K0 = FormalMap.from_linear(E, N)
-        W = conjugate_linear(W, E)
+    W, E = _diagonalized(W)
     # P o W o P^-1, whose linear part is T3^sigma, generic and paired
     F2 = map_compose(map_compose(P, W), Pinv)
-    G, K1, _ = poincare_dulac(F2)
-    back = centralizer_membership(G)
-    if not back:
-        raise FactorObstruction(
-            "normal form after rebalancing left the paired shape: "
-            + back.reason
-        )
+    G, K1 = _paired_normal_form(F2, "normal form after rebalancing", ())
     C = map_compose(Pinv, K1)
-    if K0 is not None:
-        C = map_compose(K0, C)
+    if E is not None:
+        C = map_compose(FormalMap.from_linear(E, N), C)
     for f in prefix:
         if not verify_witness(f.map, f.witness):  # pragma: no cover
             raise AssertionError("prefix witness failed")
@@ -652,7 +667,7 @@ def _lifted_involution(I: FormalMap, n: int) -> Factor:
     m = lift_section(I, n)
     if not is_involution(m):  # pragma: no cover - the section is a homomorphism
         raise AssertionError("lift broke an involution")
-    return Factor(m, Witness("involution_self", m, m.trunc), "involution")
+    return _involution(m)
 
 
 def balance_matrix() -> Matrix:
@@ -678,12 +693,8 @@ def _s_machine(S: FormalMap, trace) -> list:
     Tm = FormalMap.from_linear(T, N)
     L1 = Matrix.diagonal([scalar(2), scalar(rat(1, 2))])
     M1 = map_compose(FormalMap.from_linear(L1, N), conjugate_linear(S, T))
-    N1, K1, _ = poincare_dulac(M1)
-    back = centralizer_membership(N1)
-    if not back:  # pragma: no cover - resonant terms are paired here
-        raise FactorObstruction(
-            "balanced normal form left the paired shape: " + back.reason
-        )
+    # resonant terms are paired here, so the check cannot fail
+    N1, K1 = _paired_normal_form(M1, "balanced normal form", trace)
     chi_i, phi_i = split_centralizer(N1)
     if not (
         dim1.coeff(chi_i, 2).is_zero() and dim1.coeff(chi_i, 3).is_zero()
@@ -744,38 +755,12 @@ def _base2_involutions(chi: FormalMap, trace) -> list:
             out += [_lifted_involution(I, 2) for I in parts]
         else:
             S = lift_section(rest, 2)
-            out += [
-                Factor(I, Witness("involution_self", I, N), "involution")
-                for I in _s_machine(S, trace)
-            ]
+            out += [_involution(I) for I in _s_machine(S, trace)]
     return out
 
 
 # ---------------------------------------------------------------------------
 # top drivers
-
-def _triangular_eigenbasis(L: Matrix) -> Matrix:
-    n = len(L.rows)
-    lam = list(L.diagonal_entries())
-    for i in range(n):
-        for j in range(i + 1, n):
-            if lam[i] == lam[j]:
-                raise FactorObstruction(
-                    f"eigenvalue collision in slots {i + 1} and {j + 1}: "
-                    "cannot diagonalize the triangular linear part"
-                )
-    cols = []
-    for i in range(n):
-        v = [Scalar(0)] * n
-        v[i] = ONE
-        for j in range(i - 1, -1, -1):
-            acc = Scalar(0)
-            for k in range(j + 1, i + 1):
-                acc = acc + L.entry(j, k) * v[k]
-            v[j] = acc / (lam[i] - L.entry(j, j))
-        cols.append(v)
-    return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
-
 
 def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     n, N = W.nvars, W.trunc
@@ -797,40 +782,19 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
         G = W
         trace.append("paired-centralizer member: direct split")
     elif pd.is_generic():
-        G, K, _ = poincare_dulac(W)
-        back = centralizer_membership(G)
-        if not back:  # pragma: no cover - generic resonances are paired
-            raise FactorObstruction(
-                "normal form left the paired shape: " + back.reason, trace=trace
-            )
+        # generic resonances are paired, so the check cannot fail
+        G, K = _paired_normal_form(W, "normal form", trace)
         trace.append("generic paired linear part: normalization")
     else:
-        fresh = fresh_prime_diagonal(n, avoid=entries)
-        M = map_compose(fresh.realize(N), W)
-        K0 = None
-        if not M.linear_part().is_diagonal():
-            # A leftover triangular part now has distinct eigenvalues.
-            E = _triangular_eigenbasis(M.linear_part())
-            K0 = FormalMap.from_linear(E, N)
-            M = conjugate_linear(M, E)
-        G, K, _ = poincare_dulac(M)
-        back = centralizer_membership(G)
-        if not back:
-            raise FactorObstruction(
-                "linear part is not paired-generic and the rebalanced normal "
-                "form left the paired shape: " + back.reason,
-                trace=trace,
-            )
-        if K0 is not None:
-            K = map_compose(K0, K)
-        J = pair_swap(n, N)
-        pre.append(
-            Factor(
-                FormalMap.from_linear(fresh.matrix().inverse(), N),
-                Witness("involutive_reverser", J, N),
-                "linear",
-            )
+        # a leftover triangular part now has distinct eigenvalues
+        G, K, Dinv = _rebalance(
+            W,
+            entries,
+            "linear part is not paired-generic and the rebalanced normal form",
+            trace,
         )
+        J = pair_swap(n, N)
+        pre.append(Factor(Dinv, Witness("involutive_reverser", J, N), "linear"))
         trace.append("fresh-prime rebalance of a non-generic linear part")
     inner = _ambient_factors(G, mode, trace)
     if K is not None:
@@ -838,12 +802,11 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     return pre + inner
 
 
-def _involutionize(factors: list, N: int, trace) -> list:
+def _involutionize(factors: list, trace) -> list:
     out = []
     for f in factors:
         if f.kind == "involution" or is_involution(f.map):
-            m = f.map
-            out.append(Factor(m, Witness("involution_self", m, N), "involution"))
+            out.append(_involution(f.map))
             continue
         if f.witness.kind != "involutive_reverser":
             raise FactorObstruction(
@@ -855,7 +818,7 @@ def _involutionize(factors: list, N: int, trace) -> list:
         for I in (I1, h):
             if not is_involution(I):  # pragma: no cover
                 raise AssertionError("involution split failed")
-            out.append(Factor(I, Witness("involution_self", I, N), "involution"))
+            out.append(_involution(I))
     return out
 
 
@@ -873,7 +836,7 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
     det = L.det()
     if det == -ONE:
         V = FormalMap.diagonal([-ONE] + [ONE] * (n - 1), N)
-        factors.append(Factor(V, Witness("involution_self", V, N), "involution"))
+        factors.append(_involution(V))
         work = map_compose(V, work)
         trace.append("flip prefix absorbs determinant -1")
         L = work.linear_part()
@@ -885,17 +848,16 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
         if not L.is_upper_triangular():
             raise ValueError("linear part must be diagonal or upper triangular")
         try:
-            E = _triangular_eigenbasis(L)
+            work, E = _diagonalized(work)
         except FactorObstruction:
             # Repeated eigenvalues: the fresh-prime rebalance below makes
             # them distinct, so keep the triangular part and move on.
             trace.append("repeated eigenvalues: deferred to the rebalance step")
         else:
-            work = conjugate_linear(work, E)
             trace.append("diagonalized the triangular linear part")
     core = _split_det_one(work, mode, trace)
     if mode == "involutive":
-        core = _involutionize(core, N, trace)
+        core = _involutionize(core, trace)
     if E is not None:
         core = _dress_factors(
             core, FormalMap.from_linear(E, N), FormalMap.from_linear(E.inverse(), N)
@@ -935,8 +897,9 @@ def factor_dim1_involutions(g: FormalMap) -> Factorization:
     if g.nvars != 1:
         raise ValueError("expected a one-variable map")
     if is_involution(g) and not g.is_identity():
-        f = Factor(g, Witness("involution_self", g, g.trunc), "involution")
-        return Factorization(g, "involutive", (f,), ("already an involution",))
+        return Factorization(
+            g, "involutive", (_involution(g),), ("already an involution",)
+        )
     try:
         parts = dim1.split_involutions(g)
     except ValueError as exc:
@@ -945,12 +908,11 @@ def factor_dim1_involutions(g: FormalMap) -> Factorization:
         raise FactorObstruction(
             "no involution product exists: " + parts.note, obstruction=parts
         )
-    factors = tuple(
-        Factor(m, Witness("involution_self", m, g.trunc), "involution")
-        for m in parts
-    )
     return Factorization(
-        g, "involutive", factors, ("one-variable involution split",)
+        g,
+        "involutive",
+        tuple(_involution(m) for m in parts),
+        ("one-variable involution split",),
     )
 
 

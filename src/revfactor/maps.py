@@ -6,7 +6,7 @@ operations (composition, inversion, conjugation) all work mod total degree
 N+1, exactly.
 
 Also here: exact small matrices over the scalar field, used for linear
-parts, and the finite-order linearization by averaging.
+parts.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ class Matrix:
                 for row in self.rows
             ]
         )
-
-    def transpose(self):
-        return Matrix(list(zip(*self.rows)))
 
     def det(self) -> Scalar:
         """Exact determinant by fraction-free-ish Gaussian elimination."""
@@ -175,43 +172,6 @@ class Matrix:
 
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.n)
-
-    def is_permutation(self) -> bool:
-        for row in self.rows:
-            ones = sum(1 for x in row if x.is_one())
-            zeros = sum(1 for x in row if x.is_zero())
-            if ones != 1 or zeros != self.n - 1:
-                return False
-        cols = list(zip(*self.rows))
-        return all(
-            sum(1 for x in col if x.is_one()) == 1 for col in cols
-        )
-
-    def eigenvalues(self):
-        """Diagonal entries, for diagonal or distinct-diagonal triangular
-        matrices only (exact eigenproblems beyond that are out of scope)."""
-        if self.is_diagonal():
-            return self.diagonal_entries()
-        if self.is_upper_triangular() or self.transpose().is_upper_triangular():
-            diag = self.diagonal_entries()
-            if len(set(diag)) == self.n:
-                return diag
-        raise ValueError(
-            "requires diagonal/distinct-eigenvalue triangular input"
-        )
-
-
-def is_linear_reversible(T: Matrix) -> bool:
-    """Whether a linear map is reversible: the multiset of eigenvalues
-    different from +-1 must be closed under inversion with multiplicity."""
-    eig = T.eigenvalues()
-    minus_one = -ONE
-    counts: dict = {}
-    for v in eig:
-        if v == ONE or v == minus_one:
-            continue
-        counts[v] = counts.get(v, 0) + 1
-    return all(counts.get(v.inverse(), 0) == c for v, c in counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +309,6 @@ def map_compose(F: FormalMap, G: FormalMap) -> FormalMap:
     )
 
 
-def map_pow(F: FormalMap, k: int) -> FormalMap:
-    if k < 0:
-        return map_pow(map_invert(F), -k)
-    out = FormalMap.identity(F.nvars, F.trunc)
-    base = F
-    while k:
-        if k & 1:
-            out = map_compose(out, base)
-        base = map_compose(base, base)
-        k >>= 1
-    return out
-
-
 def apply_linear(M: Matrix, F: FormalMap) -> FormalMap:
     """The map z -> M(F(z)) (matrix acting on components)."""
     comps = []
@@ -446,38 +393,6 @@ def element_order(F: FormalMap, max_order: int):
             return d
         P = map_compose(P, F)
     return None
-
-
-def linearize_finite_order(theta: FormalMap, order: int) -> FormalMap:
-    """Conjugator onto the linear part for a finite-order map.
-
-    Averages K = (1/r) * sum_j L^{-j} o theta^j, which is tangent to the
-    identity and satisfies K o theta = L o theta... more precisely
-    K o theta = L o K, i.e. theta = K^{-1} o L(theta) o K.
-
-    Raises ValueError if theta does not have the stated order mod the
-    truncation.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    if not map_pow(theta, order).is_identity():
-        raise ValueError(f"map is not of order {order} mod truncation")
-    L = theta.linear_part()
-    Li = L.inverse()
-    acc = None
-    P = FormalMap.identity(theta.nvars, theta.trunc)  # theta^0
-    Mi = Matrix.identity(theta.nvars)  # L^{-j}
-    for _ in range(order):
-        term = apply_linear(Mi, P)
-        acc = term if acc is None else FormalMap.__new_raw__(
-            theta.nvars,
-            theta.trunc,
-            tuple(a + b for a, b in zip(acc.comps, term.comps)),
-        )
-        P = map_compose(P, theta)
-        Mi = Mi * Li
-    r_inv = scalar(order).inverse()
-    return FormalMap(tuple(c.scale(r_inv) for c in acc.comps))
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,6 @@ def root_of_unity_order(x: Scalar):
     return None
 
 
-def is_root_of_unity(x: Scalar) -> bool:
-    return root_of_unity_order(x) is not None
-
-
 def reverser_seeds(p: int):
     """All 12th roots of unity c with c**p == -1, in a fixed order.
 

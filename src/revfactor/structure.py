@@ -10,8 +10,8 @@ leftover last coordinate when n is odd; k = ceil(n/2).  The cast:
 * ``PairedDiagonal`` — diagonal linear maps diag(mu_1, 1/mu_1, ...,[1])
   with an exact genericity test (no multiplicative relation among the
   multipliers).
-* ``pair_swap`` — the linear involution swapping each pair, which
-  reverses every paired diagonal.
+* ``swap_perm``/``pair_swap`` — the permutation and the linear
+  involution swapping each pair, which reverses every paired diagonal.
 * centralizer elements — maps commuting with every generic paired
   diagonal: component j is z_j times a unit series in the pair products
   (and z_n), with an "admissible" last component when n is odd.
@@ -82,15 +82,20 @@ def unit_insertion(n: int, N: int):
     return tuple(out)
 
 
-def pair_swap(n: int, N: int) -> FormalMap:
-    """The linear involution (z_2, z_1, z_4, z_3, ..., [z_n])."""
+def swap_perm(n: int) -> tuple:
+    """The permutation (1, 0, 3, 2, ..., [n-1]) swapping each pair."""
     m, _ = half_counts(n)
     perm = []
     for i in range(m):
         perm += [2 * i + 1, 2 * i]
     if n % 2:
         perm.append(n - 1)
-    return FormalMap.permutation(perm, N)
+    return tuple(perm)
+
+
+def pair_swap(n: int, N: int) -> FormalMap:
+    """The linear involution (z_2, z_1, z_4, z_3, ..., [z_n])."""
+    return FormalMap.permutation(swap_perm(n), N)
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +497,6 @@ def project_base(F: FormalMap) -> FormalMap:
         for i in range(len(phi) // 2)
     ]
     return make_unit_shape(tuple(lams), psi)
-
-
-def base_canonical(chi: FormalMap, n: int) -> FormalMap:
-    """Canonical representative of a base map for ambient dimension n:
-    the part visible through the pairing.  Two base maps act identically
-    under the section exactly when their canonical parts agree."""
-    return project_base(lift_section(chi, n))
 
 
 def lift_section(chi: FormalMap, n: int) -> FormalMap:

@@ -1,5 +1,7 @@
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +376,14 @@ def test_map_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert main(["invert", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.map is not UTF-8 text" in err
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(
+        r"## Library quick start\s*```python\n(.*?)```", readme, re.S
+    ).group(1)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["fz"].recompose() == names["F"]
+    assert capsys.readouterr().out.rstrip().endswith("certificate OK")

@@ -34,6 +34,7 @@ from revfactor.structure import (
 from revfactor.factor import (
     CertificateError,
     _digest,
+    _triangular_eigenbasis,
     Factor,
     FactorObstruction,
     Factorization,
@@ -245,6 +246,64 @@ def test_reduce_to_centralizer_rejects_small_and_nondiagonal():
     )
     with pytest.raises(ValueError):
         reduce_to_centralizer(F)
+
+
+# ---------------------------------------------------------------------------
+# the eigenbasis of a triangular linear part
+
+
+def _shear_reference(L):
+    """Closed form for diag + (last row): the last-row shear with entries
+    L[k-1][i] / (d_i - d_{k-1})."""
+    k = L.n
+    d = L.diagonal_entries()
+    rows = [[ONE if i == j else Scalar(0) for j in range(k)] for i in range(k)]
+    for i in range(k - 1):
+        rows[k - 1][i] = L.entry(k - 1, i) / (d[i] - d[k - 1])
+    return Matrix(rows)
+
+
+_small_q = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _triangular_case(draw):
+    shape = draw(st.sampled_from(["upper", "lower", "shear"]))
+    k = draw(st.integers(min_value=2, max_value=4))
+    diag = draw(
+        st.lists(_small_q.filter(bool), min_size=k, max_size=k, unique=True)
+    )
+    keep = {
+        "upper": lambda i, j: i < j,
+        "lower": lambda i, j: i > j,
+        "shear": lambda i, j: i == k - 1 and j < i,
+    }[shape]
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            rows[i][j] = diag[i] if i == j else draw(_small_q) if keep(i, j) else 0
+    return shape, Matrix(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_triangular_case())
+def test_triangular_eigenbasis_diagonalizes(case):
+    shape, L = case
+    E = _triangular_eigenbasis(L)
+    assert E.diagonal_entries() == (ONE,) * L.n
+    D = E.inverse() * L * E
+    assert D.is_diagonal() and D.diagonal_entries() == L.diagonal_entries()
+    if shape == "shear":
+        assert E == _shear_reference(L)
+
+
+def test_triangular_eigenbasis_rejects_other_shapes_and_collisions():
+    with pytest.raises(ValueError, match="triangular"):
+        _triangular_eigenbasis(Matrix([[1, 2, 0], [0, 2, 0], [3, 0, 3]]))
+    lower = Matrix([[3, 0, 0], [1, 2, 0], [4, 0, 3]])
+    for L in (Matrix([[2, 5], [0, 2]]), lower):
+        with pytest.raises(FactorObstruction, match="collision"):
+            _triangular_eigenbasis(L)
 
 
 # ---------------------------------------------------------------------------

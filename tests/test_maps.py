@@ -13,11 +13,8 @@ from revfactor.maps import (
     element_order,
     format_map,
     is_involution,
-    is_linear_reversible,
-    linearize_finite_order,
     map_compose,
     map_invert,
-    map_pow,
     parse_map,
 )
 from revfactor.series import Series, SeriesFormatError, TruncationMismatch
@@ -47,27 +44,8 @@ def test_matrix_shape_predicates():
     D = Matrix.diagonal([2, 3])
     assert D.is_diagonal() and D.is_upper_triangular()
     P = Matrix.permutation([1, 0])
-    assert P.is_permutation() and not P.is_diagonal()
+    assert not P.is_diagonal()
     assert Matrix([[1, 1], [0, 2]]).is_upper_triangular()
-
-
-def test_eigenvalues_restricted_shapes():
-    assert Matrix.diagonal([2, 2]).eigenvalues() == (Scalar(2), Scalar(2))
-    T = Matrix([[2, 5], [0, 3]])
-    assert T.eigenvalues() == (Scalar(2), Scalar(3))
-    with pytest.raises(ValueError, match="triangular"):
-        Matrix([[2, 5], [0, 2]]).eigenvalues()  # repeated diagonal, nonzero off
-    with pytest.raises(ValueError):
-        Matrix([[0, 1], [1, 0]]).eigenvalues()
-
-
-def test_is_linear_reversible():
-    assert is_linear_reversible(Matrix.diagonal([2, rat(1, 2)]))
-    assert not is_linear_reversible(Matrix.diagonal([2, 3]))
-    assert is_linear_reversible(Matrix.diagonal([-1, -1, 5, rat(1, 5)]))
-    assert is_linear_reversible(Matrix.diagonal([1, -1]))
-    assert not is_linear_reversible(Matrix.diagonal([I, I]))
-    assert is_linear_reversible(Matrix.diagonal([I, -I]))
 
 
 # -- group operations --------------------------------------------------
@@ -149,45 +127,6 @@ def test_homogeneous_parts_reconstitute():
     L2 = F.homogeneous_part(2)
     assert L2.comps[0] == Series(2, 4, {(0, 2): 5})
     assert L2.comps[1].is_zero()
-
-
-def test_linearize_finite_order_frozen_example():
-    N = 6
-    theta = lin1({k: (-1) ** k for k in range(1, N + 1)}, trunc=N)
-    K = linearize_finite_order(theta, 2)
-    num = Series(1, N, {(1,): 2, (2,): 1})
-    den = Series(1, N, {(0,): 2, (1,): 2})
-    assert K == FormalMap([num * den.invert_unit()])  # z(2+z)/(2(1+z))
-    assert K.is_tangent_to_identity()
-    # the conjugation it satisfies: K o theta o K^{-1} = L(theta)
-    L = FormalMap.diagonal([Scalar(-1)], N)
-    assert map_compose(K, map_compose(theta, map_invert(K))) == L
-
-
-def test_linearize_round_trip_2d():
-    N = 5
-    L = FormalMap.diagonal([1, -1], N)
-    T = FormalMap(
-        [Series(2, N, {(1, 0): 1, (0, 2): 1}), Series(2, N, {(0, 1): 1})]
-    )
-    theta = conjugate(L, map_invert(T))  # T o L o T^{-1}
-    K = linearize_finite_order(theta, 2)
-    assert map_compose(K, map_compose(theta, map_invert(K))) == L
-    assert K.is_tangent_to_identity()
-
-
-def test_linearize_rejects_wrong_order():
-    with pytest.raises(ValueError, match="order"):
-        linearize_finite_order(lin1({1: 1, 2: 1}), 2)
-    assert linearize_finite_order(
-        FormalMap.identity(1, 4), 1
-    ) == FormalMap.identity(1, 4)
-
-
-def test_map_pow():
-    rot = FormalMap.diagonal([I], 4)
-    assert map_pow(rot, 4).is_identity()
-    assert map_pow(rot, -1) == FormalMap.diagonal([-I], 4)
 
 
 def test_format_roundtrip():

@@ -19,7 +19,6 @@ from revfactor.scalars import (
     ScalarFormatError,
     ScalarTooLargeError,
     format_scalar,
-    is_root_of_unity,
     parse_scalar,
     rat,
     reverser_seeds,
@@ -78,8 +77,8 @@ def test_twelfth_roots_are_all_roots_of_unity():
     orders = sorted(root_of_unity_order(z) for z in TWELFTH_ROOTS)
     assert orders == [1, 2, 3, 3, 4, 4, 6, 6, 12, 12, 12, 12]
     assert ZETA12**6 == -ONE
-    assert not is_root_of_unity(scalar(2))
-    assert not is_root_of_unity(ZERO)
+    assert root_of_unity_order(scalar(2)) is None
+    assert root_of_unity_order(ZERO) is None
     assert root_of_unity_order(ONE + I) is None
 
 
