@@ -10,11 +10,22 @@ equations.  Tangent functional equations have no eigenvalue separation,
 so instead of dividing by multiplier differences we *probe*: each
 unknown coefficient enters the first equation it influences affinely,
 and we detect that influence numerically rather than symbolically.
+
+The solver works on degree slices: the equation at degree d is built
+from maps truncated at d, since the degree-d coefficient of a composite
+or an inverse depends only on the parts of degree <= d.  Each unknown
+sits in a slot of known degree and cannot move any coefficient below
+it, so at degree d only the unknowns with slots at or below d are
+probed.
+
+The order-four reversed family needs no probing: its defining equation
+is triangular, and ``quarter_family`` solves it one coefficient at a
+time.
 """
 
 from __future__ import annotations
 
-from .maps import FormalMap, conjugate, is_involution, map_compose, map_invert
+from .maps import FormalMap, composite_part, conjugate, is_involution, map_compose, map_invert
 from .normalform import Obstruction, Witness, verify_witness
 from .scalars import ONE, ZERO, Scalar, rat, reverser_seeds, scalar
 from .series import Series
@@ -84,20 +95,28 @@ def theta_invariant(g: FormalMap) -> Scalar:
 # ---------------------------------------------------------------------------
 # the degree-by-degree probe solver
 
-def _solve_degreewise(build, nparams: int, N: int, start: int = 2):
-    """Drive the coefficients of build(params) in degrees start..N to zero.
+def _slices(F: FormalMap) -> list:
+    """F truncated at each degree d = 0..N, as entry d (entry 0 unused)."""
+    return [None] + [F.truncate(d) for d in range(1, F.trunc + 1)]
 
-    build returns a one-variable Series.  Parameters start at zero; at
-    each degree the first free parameter that moves the coefficient (and
-    whose affine estimate actually clears it) is consumed.  Parameters
-    never consumed stay zero -- in a staggered system those are genuine
-    free choices.  The solved parameter list is re-verified at the end,
-    so a non-None return is a checked solution.
+
+def _solve_degreewise(build, slots, N: int, start: int = 2):
+    """Drive the coefficients of build(params, d) in degrees start..N to zero.
+
+    build(params, d) returns a one-variable Series truncated at d, and
+    slots[i] is the lowest degree parameter i can move.  Parameters start
+    at zero; at each degree d the first free parameter that moves the
+    degree-d coefficient (and whose affine estimate actually clears it)
+    is consumed.  A parameter whose slot lies above d would show a slope
+    of exactly zero, so it is not probed there.  Parameters never
+    consumed stay zero -- in a staggered system those are genuine free
+    choices.  The solved parameter list is re-verified on build(params,
+    N) at the end, so a non-None return is a checked solution.
     """
-    params = [ZERO] * nparams
-    free = list(range(nparams))
+    params = [ZERO] * len(slots)
+    free = list(range(len(slots)))
     for d in range(start, N + 1):
-        base = build(params).coefficient((d,))
+        base = build(params, d).coefficient((d,))
         if base.is_zero():
             continue
         solved = False
@@ -106,18 +125,20 @@ def _solve_degreewise(build, nparams: int, N: int, start: int = 2):
         # is the highest-indexed one that moves the coefficient.  Lower
         # indices only echo nonlinearly; the two-point probe rejects them.
         for idx in reversed(free):
+            if slots[idx] > d:
+                continue
             probe = list(params)
             probe[idx] = probe[idx] + ONE
-            v1 = build(probe).coefficient((d,))
+            v1 = build(probe, d).coefficient((d,))
             slope = v1 - base
             if slope.is_zero():
                 continue
             probe[idx] = probe[idx] + ONE
-            if build(probe).coefficient((d,)) - v1 != slope:
+            if build(probe, d).coefficient((d,)) - v1 != slope:
                 continue
             cand = list(params)
             cand[idx] = params[idx] - base / slope
-            if build(cand).coefficient((d,)).is_zero():
+            if build(cand, d).coefficient((d,)).is_zero():
                 params = cand
                 free.remove(idx)
                 solved = True
@@ -127,7 +148,7 @@ def _solve_degreewise(build, nparams: int, N: int, start: int = 2):
                 d, 1, (d,), base, ZERO,
                 "no free coefficient controls this degree",
             )
-    final = build(params)
+    final = build(params, N)
     for d in range(start, N + 1):
         v = final.coefficient((d,))
         if not v.is_zero():
@@ -160,16 +181,10 @@ def reverser_search(g: FormalMap, seeds=None):
             seeds = [c for c in (ONE, -ONE, I_UNIT, -I_UNIT)]
     ginv = map_invert(g)
     for c in seeds:
-        c = scalar(c)
-
-        def build(params, c=c):
-            h = _dressing(c, params, N)
-            return map_compose(g, h).comps[0] - map_compose(h, ginv).comps[0]
-
-        sol = _solve_degreewise(build, N - 1, N)
-        if isinstance(sol, Obstruction):
+        # a reverser conjugates g to its inverse
+        h = conjugate_to(g, ginv, c)
+        if h is None:
             continue
-        h = _dressing(c, sol, N)
         kind = (
             "involutive_reverser"
             if map_compose(h, h).is_identity()
@@ -185,12 +200,13 @@ def conjugate_to(g: FormalMap, target: FormalMap, c=ONE):
     """h with h^-1 o g o h == target (multiplier of h is c), or None."""
     N = g.trunc
     c = scalar(c)
+    gs, ts = _slices(g), _slices(target)
 
-    def build(params):
-        h = _dressing(c, params, N)
-        return map_compose(g, h).comps[0] - map_compose(h, target).comps[0]
+    def build(params, d):
+        h = _dressing(c, params, d)
+        return map_compose(gs[d], h).comps[0] - map_compose(h, ts[d]).comps[0]
 
-    sol = _solve_degreewise(build, N - 1, N)
+    sol = _solve_degreewise(build, range(2, N + 1), N)
     if isinstance(sol, Obstruction):
         return None
     return _dressing(c, sol, N)
@@ -216,39 +232,28 @@ def mobius_witness(g: FormalMap):
 # ---------------------------------------------------------------------------
 # the order-four reversed family
 
-_family_cache: dict = {}
-
-
 def quarter_family(c, N: int) -> FormalMap:
     """The odd map with cubic coefficient c reversed exactly by t -> i t.
 
-    Solved from the defining equation A o h = h o A^-1; even-degree
-    slots are forced to zero, odd slots are determined (the quintic
-    coefficient comes out as 3/2 c^2).  Deterministic and cached.
+    The defining equation A o h = h o A^-1 (h = i t) says A o B = id,
+    where B = h^-1 o A o h is A with the signs of its degree-3-mod-4
+    coefficients flipped.  The degree-k coefficient of A o B is
+    a_k + b_k + [t^k](A_<k o B_<k), so a_k = -1/2 [t^k](A_<k o B_<k)
+    for k = 1 mod 4 (the quintic one comes out as 3/2 c^2).  For
+    k = 3 mod 4, b_k = -a_k leaves the slot free: a_3 = c and the
+    others are 0, as are the even slots.  A is checked against the
+    defining equation before it is returned.
     """
     c = scalar(c)
-    key = (c, N)
-    if key in _family_cache:
-        return _family_cache[key]
-    h = quarter_turn(N)
-
-    def build(params):
-        data = {1: ONE, 3: c}
-        deg = [d for d in range(2, N + 1) if d != 3]
-        for d, v in zip(deg, params):
-            data[d] = v
-        A = poly1(data, N)
-        return map_compose(A, h).comps[0] - map_compose(h, map_invert(A)).comps[0]
-
-    sol = _solve_degreewise(build, N - 1 - (1 if N >= 3 else 0), N)
-    if isinstance(sol, Obstruction):  # pragma: no cover - equation is consistent
-        raise AssertionError(f"family equation failed: {sol.note}")
     data = {1: ONE, 3: c}
-    deg = [d for d in range(2, N + 1) if d != 3]
-    for d, v in zip(deg, sol):
-        data[d] = v
+    for k in range(5, N + 1, 4):
+        A = poly1(data, k)
+        B = poly1({d: -v if d % 4 == 3 else v for d, v in data.items()}, k)
+        data[k] = coeff(composite_part(A, B, k), k) / -2
     A = poly1(data, N)
-    _family_cache[key] = A
+    h = quarter_turn(N)
+    if map_compose(A, h) != map_compose(h, map_invert(A)):  # pragma: no cover
+        raise AssertionError("family equation failed")
     return A
 
 
@@ -282,23 +287,26 @@ def _class_member(c3: Scalar, c4: Scalar, N: int):
 def _p1_split(g: FormalMap):
     """Quadratic-led tangent map as (homography class) o (order-four class)."""
     N = g.trunc
-    beta = coeff(g, 2)
-    f = mobius(beta, N)
-    sdegs = list(range(3, N))
+    gs, fs = _slices(g), _slices(mobius(coeff(g, 2), N))
+    unit = quarter_family(ONE, N)
 
-    def parts(params):
-        A = quarter_family(params[0], N)
-        s = _dressing(ONE, [ZERO] + list(params[1:]), N)
-        return _dress(f, s), A, s
+    def family(c, d):
+        # t -> a t with a^2 = c conjugates the c = 1 member to the one
+        # with cubic coefficient c; the family is odd, so its degree-k
+        # coefficient scales by c^((k-1)/2) and no root is taken
+        return poly1({k: coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, d + 1, 2)}, d)
 
-    def build(params):
-        F, A, _ = parts(params)
-        return g.comps[0] - map_compose(F, A).comps[0]
+    def build(params, d):
+        s = _dressing(ONE, [ZERO] + params[1:], d)
+        return gs[d].comps[0] - map_compose(_dress(fs[d], s), family(params[0], d)).comps[0]
 
-    sol = _solve_degreewise(build, 1 + len(sdegs), N)
+    # params[0] is the family's cubic coefficient; the rest fill the
+    # dressing s from degree 3 up
+    sol = _solve_degreewise(build, [3] + list(range(3, N)), N)
     if isinstance(sol, Obstruction):  # pragma: no cover - always solvable
         raise AssertionError(f"quadratic-led split failed: {sol.note}")
-    F, A, s = parts(sol)
+    s = _dressing(ONE, [ZERO] + sol[1:], N)
+    F, A = _dress(fs[N], s), quarter_family(sol[0], N)
     wF = Witness(
         "involutive_reverser",
         map_compose(map_compose(s, flip(N)), map_invert(s)),
@@ -324,19 +332,18 @@ def _p2_split(g: FormalMap):
     N = g.trunc
     a = coeff(g, 3)
 
-    def dressed(params):
-        q = poly1({1: ONE, 2: params[0]}, N)
-        return conjugate(g, q), q
+    # the quartic coefficient of the conjugate needs g only to degree 4
+    g4 = g.truncate(min(N, 4))
 
-    def build(params):
-        gt, _ = dressed(params)
-        out = Series(1, N, {(4,): coeff(gt, 4)})
-        return out
+    def build(params, d):
+        gt = conjugate(g4, poly1({1: ONE, 2: params[0]}, g4.trunc))
+        return Series(1, d, {(4,): coeff(gt, 4)})
 
-    sol = _solve_degreewise(build, 1, N, start=4)
+    sol = _solve_degreewise(build, [2], N, start=4)
     if isinstance(sol, Obstruction):  # pragma: no cover - slope is a != 0
         raise AssertionError("quartic flattening failed")
-    gt, q = dressed(sol)
+    q = poly1({1: ONE, 2: sol[0]}, N)
+    gt = conjugate(g, q)
     delta = coeff(gt, 5) - rat(3, 2) * a * a
     if delta.is_zero():
         x, y = 2 * a, ZERO
@@ -420,9 +427,9 @@ def _flip_split(g: FormalMap):
     N = g.trunc
     c = theta_invariant(g)
     u2 = ZERO if not coeff(g, 2).is_zero() else rat(1, 2)
+    core = map_compose(flip(N), quarter_family(c, N))
     for _ in range(3):
         u = poly1({1: ONE, 2: u2}, N)
-        core = map_compose(flip(N), quarter_family(c, N))
         R = _dress(core, u)
         B = map_compose(map_invert(R), g)
         if B.is_identity() or not coeff(B, 2).is_zero():

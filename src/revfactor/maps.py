@@ -137,18 +137,6 @@ class Matrix:
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
         return Matrix([row[n:] for row in work])
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Matrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def entry(self, i, j) -> Scalar:
         return self.rows[i][j]
 

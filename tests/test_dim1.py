@@ -1,10 +1,12 @@
 """One-variable splitters: frozen examples plus randomized round trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revfactor import dim1, maps
 from revfactor.dim1 import (
     coeff,
     flip,
@@ -28,7 +30,7 @@ from revfactor.maps import (
     map_invert,
 )
 from revfactor.normalform import Obstruction, verify_witness
-from revfactor.scalars import ONE, Scalar, scalar
+from revfactor.scalars import ONE, ZERO, Scalar, scalar
 
 
 def recompose(factors):
@@ -233,3 +235,175 @@ def test_random_tangent_splits_degree_8(cs):
         assert recompose(parts) == g
     for m, w in parts:
         assert verify_witness(m, w)
+
+
+# -- the sliced solver and the direct family solve ---------------------------
+
+def _solve_reference(build, nparams, N, start=2):
+    """The probe solver before degree slices: every build is a whole
+    degree-N map, and every free parameter is probed at every degree."""
+    params = [ZERO] * nparams
+    free = list(range(nparams))
+    for d in range(start, N + 1):
+        base = build(params).coefficient((d,))
+        if base.is_zero():
+            continue
+        solved = False
+        for idx in reversed(free):
+            probe = list(params)
+            probe[idx] = probe[idx] + ONE
+            v1 = build(probe).coefficient((d,))
+            slope = v1 - base
+            if slope.is_zero():
+                continue
+            probe[idx] = probe[idx] + ONE
+            if build(probe).coefficient((d,)) - v1 != slope:
+                continue
+            cand = list(params)
+            cand[idx] = params[idx] - base / slope
+            if build(cand).coefficient((d,)).is_zero():
+                params = cand
+                free.remove(idx)
+                solved = True
+                break
+        if not solved:
+            return Obstruction(
+                d, 1, (d,), base, ZERO,
+                "no free coefficient controls this degree",
+            )
+    final = build(params)
+    for d in range(start, N + 1):
+        v = final.coefficient((d,))
+        if not v.is_zero():
+            return Obstruction(d, 1, (d,), v, ZERO, "solution failed recheck")
+    return params
+
+
+def _full_n_solver(build, slots, N, start=2):
+    """The reference behind the sliced solver's interface."""
+    return _solve_reference(lambda params: build(params, N), len(slots), N, start)
+
+
+def _quarter_family_reference(c, N):
+    """quarter_family as the probe solver found it from A o h = h o A^-1."""
+    c = scalar(c)
+    h = quarter_turn(N)
+    deg = [d for d in range(2, N + 1) if d != 3]
+
+    def member(params):
+        return poly1({1: ONE, 3: c, **dict(zip(deg, params))}, N)
+
+    def build(params):
+        A = member(params)
+        return map_compose(A, h).comps[0] - map_compose(h, map_invert(A)).comps[0]
+
+    sol = _solve_reference(build, len(deg), N)
+    assert not isinstance(sol, Obstruction), sol
+    return member(sol)
+
+
+def field_elements():
+    return st.builds(Scalar, *[small_rationals()] * 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_elements(), st.integers(2, 10))
+def test_quarter_family_solves_its_equation_and_scales(c, N):
+    A = quarter_family(c, N)
+    h = quarter_turn(N)
+    assert map_compose(A, h) == map_compose(h, map_invert(A))
+    assert all(coeff(A, k).is_zero() for k in range(2, N + 1, 2))
+    assert coeff(A, 3) == (c if N >= 3 else ZERO)
+    assert all(coeff(A, k).is_zero() for k in range(7, N + 1, 4))
+    unit = quarter_family(1, N)
+    assert all(
+        coeff(A, k) == coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, N + 1)
+    )
+    assert A == _quarter_family_reference(c, N)
+
+
+@st.composite
+def unit_multiplier_maps(draw):
+    """One-variable maps with multiplier +-1, N <= 8; tangent ones often
+    have a zero cubic invariant, so that they split into involutions."""
+    N = draw(st.integers(2, 8))
+    lam = draw(st.sampled_from([1, -1]))
+    cs = draw(st.lists(small_rationals(), min_size=N - 1, max_size=N - 1))
+    if N >= 3 and draw(st.booleans()):
+        cs[1] = cs[0] ** 2
+    return poly1({1: lam, **{d + 2: c for d, c in enumerate(cs)}}, N)
+
+
+def _splits(g):
+    inv = split_involutions(g) if multiplier(g) == ONE else None
+    return split_reversibles(g), inv
+
+
+def _compositions(g):
+    """The splits of g and the number of map_compose calls they made."""
+    calls = [0]
+    original = maps.map_compose
+
+    def counted(F, G):
+        calls[0] += 1
+        return original(F, G)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("revfactor") and getattr(module, "map_compose", None) is original:
+                mp.setattr(module, "map_compose", counted)
+        out = _splits(g)
+    return out, calls[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(unit_multiplier_maps())
+def test_sliced_solver_matches_the_full_n_reference(g):
+    first, calls = _compositions(g)
+    # no state survives a call: the same input costs the same again
+    assert _compositions(g) == (first, calls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dim1, "_solve_degreewise", _full_n_solver)
+        assert _splits(g) == first
+
+
+def _compose_oracle(f, g, N):
+    """Coefficients 0..N of f o g, substituted term by term over Fraction;
+    f and g list coefficients 0..N with f[0] = g[0] = 0."""
+    out = [Fraction(0)] * (N + 1)
+    power = [Fraction(1)] + [Fraction(0)] * N
+    for k in range(1, N + 1):
+        power = [sum(power[i] * g[j - i] for i in range(j + 1)) for j in range(N + 1)]
+        out = [o + f[k] * p for o, p in zip(out, power)]
+    return out
+
+
+def _invert_oracle(f, N):
+    """Coefficients 0..N of the compositional inverse of f: with g known
+    below degree k, f o g has f[1] g[k] as its only term of degree k in g[k]."""
+    g = [Fraction(0), 1 / f[1]] + [Fraction(0)] * (N - 1)
+    for k in range(2, N + 1):
+        g[k] = -_compose_oracle(f, g, N)[k] / f[1]
+    return g
+
+
+def _coefficients(F, N):
+    return [coeff(F, k) for k in range(N + 1)]
+
+
+@st.composite
+def rational_maps(draw, N):
+    lead = draw(small_rationals().filter(bool))
+    rest = draw(st.lists(small_rationals(), min_size=N - 1, max_size=N - 1))
+    return [Fraction(0), Fraction(lead)] + [Fraction(x) for x in rest]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda N: st.tuples(st.just(N), rational_maps(N), rational_maps(N))))
+def test_truncation_commutes_with_compose_and_invert(case):
+    N, f, g = case
+    F, G = (poly1(dict(enumerate(x)), N) for x in (f, g))
+    fg, finv = _compose_oracle(f, g, N), _invert_oracle(f, N)
+    for d in range(1, N + 1):
+        assert _coefficients(map_compose(F.truncate(d), G.truncate(d)), d) == fg[: d + 1]
+        assert _coefficients(map_invert(F.truncate(d)), d) == finv[: d + 1]
