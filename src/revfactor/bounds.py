@@ -66,6 +66,23 @@ class BoundTable:
         )
 
 
+def _halving_table(mode: str, base, step: int, n_max: int) -> BoundTable:
+    """Extend the base rows by the halving recurrence up to n_max.
+
+    centralizer(2m) = step + diagonal(m), centralizer(2m+1) =
+    step + general(m+1), then diagonal = centralizer + step and general =
+    centralizer + 2 step.
+    """
+    rows = {r.n: r for r in base}
+    for n in range(max(rows) + 1, n_max + 1):
+        m, column = (n // 2, "diagonal") if n % 2 == 0 else ((n + 1) // 2, "general")
+        c = step + getattr(rows[m], column)
+        rows[n] = BoundRow(
+            n, c + 2 * step, c + step, c, f"centralizer({n}) = {step} + {column}({m})"
+        )
+    return BoundTable(mode, tuple(r for n, r in rows.items() if n <= n_max))
+
+
 def compute_bounds(n_max: int) -> BoundTable:
     """Best reversible-factor counts derivable from the halving
     recurrences, minimized bottom-up.
@@ -77,25 +94,11 @@ def compute_bounds(n_max: int) -> BoundTable:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    r1 = {1: 2, 2: 4}
-    rd = {1: 2, 2: 4}
-    rc = {1: 2, 2: 3}
-    via = {1: "base (one dimension)", 2: "base (two dimensions)"}
-    for n in range(3, n_max + 1):
-        if n % 2 == 0:
-            m = n // 2
-            rc[n] = 1 + rd[m]
-            via[n] = f"centralizer({n}) = 1 + diagonal({m})"
-        else:
-            m = (n + 1) // 2
-            rc[n] = 1 + r1[m]
-            via[n] = f"centralizer({n}) = 1 + general({m})"
-        rd[n] = rc[n] + 1
-        r1[n] = rc[n] + 2
-    rows = tuple(
-        BoundRow(n, r1[n], rd[n], rc[n], via[n]) for n in range(1, n_max + 1)
+    base = (
+        BoundRow(1, 2, 2, 2, "base (one dimension)"),
+        BoundRow(2, 4, 4, 3, "base (two dimensions)"),
     )
-    return BoundTable("reversible", rows)
+    return _halving_table("reversible", base, 1, n_max)
 
 
 def compute_involution_bounds(n_max: int) -> BoundTable:
@@ -109,25 +112,8 @@ def compute_involution_bounds(n_max: int) -> BoundTable:
     """
     if n_max < 2:
         raise ValueError("involution counts start at dimension 2")
-    i1 = {2: 14}
-    idg = {2: 14}
-    ic = {2: 12}
-    via = {2: "base (two dimensions)"}
-    for n in range(3, n_max + 1):
-        if n % 2 == 0:
-            m = n // 2
-            ic[n] = 2 + idg[m]
-            via[n] = f"centralizer({n}) = 2 + diagonal({m})"
-        else:
-            m = (n + 1) // 2
-            ic[n] = 2 + i1[m]
-            via[n] = f"centralizer({n}) = 2 + general({m})"
-        idg[n] = ic[n] + 2
-        i1[n] = ic[n] + 4
-    rows = tuple(
-        BoundRow(n, i1[n], idg[n], ic[n], via[n]) for n in range(2, n_max + 1)
-    )
-    return BoundTable("involutive", rows)
+    base = (BoundRow(2, 14, 14, 12, "base (two dimensions)"),)
+    return _halving_table("involutive", base, 2, n_max)
 
 
 def halving_chain(n: int):

@@ -151,7 +151,7 @@ def _cmd_conjugate(args):
 def _cmd_normalize(args):
     F = _load_map(args.map, args.truncation)
     try:
-        G, K, _ = poincare_dulac(F)
+        G, K = poincare_dulac(F)
     except ValueError as exc:
         raise CliError(INPUT_ERROR, str(exc)) from None
     print(format_map(G))

@@ -20,7 +20,8 @@ probed.
 
 The order-four reversed family needs no probing: its defining equation
 is triangular, and ``quarter_family`` solves it one coefficient at a
-time.
+time.  Nor does the quadratic dress that flattens the quartic slot of a
+cubic-led map, which has a closed form.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def _slices(F: FormalMap) -> list:
     return [None] + [F.truncate(d) for d in range(1, F.trunc + 1)]
 
 
-def _solve_degreewise(build, slots, N: int, start: int = 2):
-    """Drive the coefficients of build(params, d) in degrees start..N to zero.
+def _solve_degreewise(build, slots, N: int):
+    """Drive the coefficients of build(params, d) in degrees 2..N to zero.
 
     build(params, d) returns a one-variable Series truncated at d, and
     slots[i] is the lowest degree parameter i can move.  Parameters start
@@ -115,7 +116,7 @@ def _solve_degreewise(build, slots, N: int, start: int = 2):
     """
     params = [ZERO] * len(slots)
     free = list(range(len(slots)))
-    for d in range(start, N + 1):
+    for d in range(2, N + 1):
         base = build(params, d).coefficient((d,))
         if base.is_zero():
             continue
@@ -149,7 +150,7 @@ def _solve_degreewise(build, slots, N: int, start: int = 2):
                 "no free coefficient controls this degree",
             )
     final = build(params, N)
-    for d in range(start, N + 1):
+    for d in range(2, N + 1):
         v = final.coefficient((d,))
         if not v.is_zero():
             return Obstruction(d, 1, (d,), v, ZERO, "solution failed recheck")
@@ -331,18 +332,9 @@ def _p2_split(g: FormalMap):
     """
     N = g.trunc
     a = coeff(g, 3)
-
-    # the quartic coefficient of the conjugate needs g only to degree 4
-    g4 = g.truncate(min(N, 4))
-
-    def build(params, d):
-        gt = conjugate(g4, poly1({1: ONE, 2: params[0]}, g4.trunc))
-        return Series(1, d, {(4,): coeff(gt, 4)})
-
-    sol = _solve_degreewise(build, [2], N, start=4)
-    if isinstance(sol, Obstruction):  # pragma: no cover - slope is a != 0
-        raise AssertionError("quartic flattening failed")
-    q = poly1({1: ONE, 2: sol[0]}, N)
+    # for q = t + c t^2 the quartic coefficient of q^-1 o g o q is
+    # g4 + a c, so c = -g4/a flattens it
+    q = poly1({1: ONE, 2: -coeff(g, 4) / a}, N)
     gt = conjugate(g, q)
     delta = coeff(gt, 5) - rat(3, 2) * a * a
     if delta.is_zero():

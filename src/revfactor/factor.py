@@ -489,7 +489,7 @@ def _diagonalized(M: FormalMap):
 def _paired_normal_form(M: FormalMap, what: str, trace):
     """The normal form M = K o G o K^-1 as (G, K), with G checked to lie
     in the paired centralizer; ``what`` names G in the obstruction."""
-    G, K, _ = poincare_dulac(M)
+    G, K = poincare_dulac(M)
     back = centralizer_membership(G)
     if not back:
         raise FactorObstruction(
@@ -625,14 +625,14 @@ def reduce_to_centralizer(F: FormalMap):
     only the diagonal, after which the remaining triangular part has the
     distinct fresh-prime eigenvalues and diagonalizes exactly.
 
-    Returns (G, prefix_factors, C, sigma)."""
+    Returns (G, prefix_factors, C)."""
     n, N = F.nvars, F.trunc
     if n < 3:
         raise ValueError("reduction needs at least three variables")
     L = F.linear_part()
     if not L.is_diagonal() and not L.is_upper_triangular():
         raise ValueError("reduction needs a diagonal or triangular linear part")
-    T1, T2, T3, sigma = split_diagonal_generic(
+    T1, T2, _, sigma = split_diagonal_generic(
         Matrix.diagonal(L.diagonal_entries())
     )
     J = pair_swap(n, N)
@@ -657,7 +657,7 @@ def reduce_to_centralizer(F: FormalMap):
     for f in prefix:
         if not verify_witness(f.map, f.witness):  # pragma: no cover
             raise AssertionError("prefix witness failed")
-    return G, prefix, C, sigma
+    return G, prefix, C
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +770,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     entries = L.diagonal_entries()
     mult = _paired_entries(entries)
     if mult is None:
-        G, prefix, C, _sigma = reduce_to_centralizer(W)
+        G, prefix, C = reduce_to_centralizer(W)
         trace.append("split the diagonal and rebalanced to a generic paired part")
         return prefix + _dress_factors(
             _ambient_factors(G, mode, trace), C, map_invert(C)
@@ -813,12 +813,7 @@ def _involutionize(factors: list, trace) -> list:
                 "factor has no involutive witness to split against",
                 trace=trace,
             )
-        h = f.witness.h
-        I1 = map_compose(f.map, h)
-        for I in (I1, h):
-            if not is_involution(I):  # pragma: no cover
-                raise AssertionError("involution split failed")
-            out.append(_involution(I))
+        out += [_involution(I) for I in dim1.involution_pair(f.map, f.witness)]
     return out
 
 

@@ -275,14 +275,6 @@ class FormalMap:
     def is_tangent_to_identity(self) -> bool:
         return self.linear_part().is_identity()
 
-    # -- group operations ----------------------------------------------
-
-    def __matmul__(self, other):
-        return map_compose(self, other)
-
-    def inverse(self) -> "FormalMap":
-        return map_invert(self)
-
 
 def map_compose(F: FormalMap, G: FormalMap) -> FormalMap:
     """The composite F after G, sharing the substitution cache across

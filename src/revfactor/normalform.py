@@ -1,16 +1,13 @@
 """Degree-by-degree conjugacy machinery for maps with diagonal linear part.
 
-Three entry points:
+Two entry points share one solve:
 
 * ``poincare_dulac`` — normalize a map relative to its diagonal linear
   part, eliminating every non-resonant monomial and keeping the resonant
-  ones; returns the normal form, the tangent-to-identity conjugator, and
-  a resonance report.
+  ones; returns the normal form and the tangent-to-identity conjugator.
 * ``solve_conjugacy`` — solve K^{-1} F K = G for K when it exists
-  degree by degree, with an optional stated linear seed for K; failures
-  come back as structured ``Obstruction`` data, not exceptions.
-* ``find_reverser`` — extend a linear seed to a witness h with
-  h^{-1} g h = g^{-1}, verifying the result independently.
+  degree by degree; failures come back as structured ``Obstruction``
+  data, not exceptions.
 
 All free (resonant-direction) coefficients are pinned to zero so output
 is deterministic; callers needing a different homogeneous solution
@@ -19,18 +16,15 @@ reroute at a higher level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scalars import ONE, Scalar, format_scalar
 from .series import Series
 from .maps import (
     FormalMap,
-    Matrix,
     composite_part,
-    conjugate_linear,
     format_map,
     map_compose,
-    map_invert,
     parse_map,
 )
 
@@ -57,28 +51,6 @@ class Obstruction:
             f" at degree {self.degree}, component {self.component},"
             f" exponent {list(self.exponent)}"
         )
-
-
-@dataclass(frozen=True)
-class ResonanceReport:
-    """Resonance bookkeeping for a diagonal linear part.
-
-    Keyed by (component, exponent vector), components 1-based.
-    ``resonant`` lists surviving monomials with their retained
-    coefficients; ``eliminated`` the removed ones with the coefficient
-    they had in the defect when removed.
-    """
-
-    eigenvalues: tuple
-    resonant: tuple = field(default_factory=tuple)
-    eliminated: tuple = field(default_factory=tuple)
-
-    def is_resonant(self, component: int, exponent) -> bool:
-        lam = self.eigenvalues
-        power = ONE
-        for l, e in zip(lam, exponent):
-            power = power * l**e
-        return power == lam[component - 1]
 
 
 @dataclass(frozen=True)
@@ -148,122 +120,69 @@ def _monomial_eigenvalue(lam, exponent) -> Scalar:
     return power
 
 
-def _solve_step(defect_component, lam, j, kappa, gnew, record):
-    """Distribute one component's degree-d defect into corrections.
+def _conjugate_away(F: FormalMap, target: FormalMap | None):
+    """Solve K^{-1} F K = G degree by degree with K tangent to the identity.
 
-    For each monomial q: e + (lam_j - lam^q) k - g = 0.  Non-resonant
-    monomials determine k; resonant ones keep k = 0 and hand e to the
-    normal form (gnew) when allowed, else signal inconsistency.
+    At degree d each component j reads the defect e of F o K - K o G and,
+    for each monomial q, solves e + (lam_j - lam^q) k - g = 0.
+    Non-resonant monomials determine k.  Resonant ones keep k = 0: with
+    no target, g = e goes into the normal form G; against a target, G is
+    the target and a resonant defect left over is an Obstruction.
+    Returns (G, K) or that Obstruction.
     """
-    for q, e in defect_component.items():
-        mult = lam[j] - _monomial_eigenvalue(lam, q)
-        if not mult.is_zero():
-            kappa[q] = e / (_monomial_eigenvalue(lam, q) - lam[j])
-            record("eliminated", j, q, e)
-        elif gnew is not None:
-            gnew[q] = e
-            record("resonant", j, q, e)
-        elif not e.is_zero():
-            return q, e
-    return None
+    lam = _diagonal_eigenvalues(F)
+    n, N = F.nvars, F.trunc
+    if target is None:
+        G = FormalMap.from_linear(F.linear_part(), N)
+    elif target.linear_part() != F.linear_part():
+        return Obstruction(
+            1, 1, (0,) * n, Scalar(0), Scalar(1),
+            "linear parts differ; conjugate by a linear seed first",
+        )
+    else:
+        G = target
+    K = FormalMap.identity(n, N)
+    for d in range(2, N + 1):
+        FK, KG = composite_part(F, K, d), composite_part(K, G, d)
+        kappa_comps, g_comps = [], []
+        for j in range(n):
+            kappa, gnew = {}, {}
+            for q, e in (FK.comps[j] - KG.comps[j]).coeffs.items():
+                mu = _monomial_eigenvalue(lam, q)
+                if mu != lam[j]:
+                    kappa[q] = e / (mu - lam[j])
+                elif target is None:
+                    gnew[q] = e
+                else:
+                    return Obstruction(d, j + 1, q, Scalar(0), -e)
+            kappa_comps.append(Series(n, N, kappa))
+            g_comps.append(Series(n, N, gnew))
+        K = FormalMap([c + k for c, k in zip(K.comps, kappa_comps)])
+        if target is None:
+            G = FormalMap([c + g for c, g in zip(G.comps, g_comps)])
+    return G, K
 
 
 def poincare_dulac(F: FormalMap):
     """Normalize F relative to its diagonal linear part.
 
-    Returns (F_norm, K, report) with K tangent to the identity,
+    Returns (F_norm, K) with K tangent to the identity,
     K^{-1} F K = F_norm, and F_norm containing only resonant monomials
     (coefficients as produced with all free choices zero), so F_norm
     commutes with the linear part.
     """
-    lam = _diagonal_eigenvalues(F)
-    n, N = F.nvars, F.trunc
-    K = FormalMap.identity(n, N)
-    G = FormalMap.from_linear(F.linear_part(), N)
-    resonant, eliminated = [], []
-
-    def record(tag, j, q, e):
-        (resonant if tag == "resonant" else eliminated).append((j + 1, q, e))
-
-    for d in range(2, N + 1):
-        FK, KG = composite_part(F, K, d), composite_part(K, G, d)
-        kappa_comps, g_comps = [], []
-        for j in range(n):
-            part = FK.comps[j] - KG.comps[j]
-            kappa, gnew = {}, {}
-            _solve_step(part.coeffs, lam, j, kappa, gnew, record)
-            kappa_comps.append(Series(n, N, kappa))
-            g_comps.append(Series(n, N, gnew))
-        K = FormalMap([c + k for c, k in zip(K.comps, kappa_comps)])
-        G = FormalMap([c + g for c, g in zip(G.comps, g_comps)])
-    report = ResonanceReport(tuple(lam), tuple(resonant), tuple(eliminated))
-    return G, K, report
+    return _conjugate_away(F, None)
 
 
-def solve_conjugacy(F: FormalMap, G: FormalMap, seed: Matrix | None = None):
-    """Solve K^{-1} F K = G degree by degree, K tangent to the identity
-    times the stated linear seed (default: identity).
+def solve_conjugacy(F: FormalMap, G: FormalMap):
+    """Solve K^{-1} F K = G degree by degree, K tangent to the identity.
 
-    The common linear part (after absorbing the seed) must be diagonal.
-    Returns K, or an Obstruction describing the first unsolvable
-    coefficient equation.  Free coefficients are pinned to zero, so a
-    returned Obstruction means this deterministic scheme failed, not
-    that no conjugacy exists.
+    The common linear part must be diagonal.  Returns K, or an
+    Obstruction describing the first unsolvable coefficient equation.
+    Free coefficients are pinned to zero, so a returned Obstruction
+    means this deterministic scheme failed, not that no conjugacy exists.
     """
     if (F.nvars, F.trunc) != (G.nvars, G.trunc):
         raise ValueError("maps must share dimension and truncation degree")
-    n, N = F.nvars, F.trunc
-    base = F
-    if seed is not None:
-        base = conjugate_linear(F, seed)
-    lam = _diagonal_eigenvalues(base)
-    if base.linear_part() != G.linear_part():
-        return Obstruction(
-            1, 1, (0,) * n, Scalar(0), Scalar(1),
-            "linear parts differ; supply a seed conjugating them",
-        )
-    K = FormalMap.identity(n, N)
-    for d in range(2, N + 1):
-        FK, KG = composite_part(base, K, d), composite_part(K, G, d)
-        kappa_comps = []
-        for j in range(n):
-            part = FK.comps[j] - KG.comps[j]
-            kappa: dict = {}
-            bad = _solve_step(part.coeffs, lam, j, kappa, None, lambda *a: None)
-            if bad is not None:
-                q, e = bad
-                return Obstruction(d, j + 1, q, Scalar(0), -e)
-            kappa_comps.append(Series(n, N, kappa))
-        K = FormalMap([c + k for c, k in zip(K.comps, kappa_comps)])
-    if seed is not None:
-        K = map_compose(FormalMap.from_linear(seed, N), K)
-    return K
-
-
-def find_reverser(g: FormalMap, seed: Matrix):
-    """Extend a linear seed to a reversing witness h^{-1} g h = g^{-1}.
-
-    The seed must already reverse the linear part.  Returns a verified
-    Witness (kind upgraded to involutive_reverser when h o h = id) or an
-    Obstruction.
-    """
-    n, N = g.nvars, g.trunc
-    L = g.linear_part()
-    if seed.inverse() * L * seed != L.inverse():
-        return Obstruction(
-            1, 1, (0,) * n, Scalar(0), Scalar(1),
-            "seed does not reverse the linear part",
-        )
-    ginv = map_invert(g)
-    U = solve_conjugacy(conjugate_linear(g, seed), ginv)
-    if isinstance(U, Obstruction):
-        return U
-    h = map_compose(FormalMap.from_linear(seed, N), U)
-    kind = "involutive_reverser" if map_compose(h, h).is_identity() else "reverser"
-    w = Witness(kind, h, N)
-    if not verify_witness(g, w):
-        return Obstruction(
-            N, 1, (0,) * n, Scalar(0), Scalar(1),
-            "candidate failed independent verification",
-        )
-    return w
+    res = _conjugate_away(F, G)
+    return res if isinstance(res, Obstruction) else res[1]

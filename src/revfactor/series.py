@@ -234,12 +234,6 @@ class Series:
             return ZERO
         return self._terms.get(_pack(e, self.trunc + 1), ZERO)
 
-    def min_degree(self):
-        """Smallest total degree with a nonzero coefficient (None if 0)."""
-        if not self._terms:
-            return None
-        return min(self._terms) // _ring(self.nvars, self.trunc)[0]
-
     def homogeneous_component(self, d: int) -> "Series":
         unit = _ring(self.nvars, self.trunc)[0]
         lo, hi = d * unit, (d + 1) * unit
@@ -338,18 +332,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers need a nonnegative int")
-        out = Series.one(self.nvars, self.trunc)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def invert_unit(self) -> "Series":
         """Reciprocal of a unit (nonzero constant term), by Newton steps."""
         c = self.constant_term()
@@ -361,11 +343,6 @@ class Series:
             g = g * (2 - self * g)
             correct *= 2
         return g
-
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self * other.invert_unit()
-        return self.scale(scalar(other).inverse())
 
     def shift_down(self, j: int) -> "Series":
         """Divide by the coordinate t_j exactly; raises if not divisible."""

@@ -4,9 +4,8 @@ symmetry, and the exact sequence connecting them.
 Coordinates are grouped into m = floor(n/2) consecutive pairs, plus a
 leftover last coordinate when n is odd; k = ceil(n/2).  The cast:
 
-* ``pair_products``/``pair_projection``/``unit_insertion`` — the monomial
-  maps p (the m pairwise products), the projection onto k variables, and
-  its right inverse inserting 1's at even slots.
+* ``pair_products``/``pair_projection`` — the monomial maps p (the m
+  pairwise products) and the projection onto k variables.
 * ``PairedDiagonal`` — diagonal linear maps diag(mu_1, 1/mu_1, ...,[1])
   with an exact genericity test (no multiplicative relation among the
   multipliers).
@@ -62,23 +61,6 @@ def pair_projection(n: int, N: int):
     out = list(pair_products(n, N))
     if n % 2:
         out.append(Series.variable(n, N, n - 1))
-    return tuple(out)
-
-
-def unit_insertion(n: int, N: int):
-    """Right inverse of the projection: (t_1, 1, t_2, 1, ..., [t_k]).
-
-    Note the even slots carry the constant series 1, so this is not an
-    origin-preserving map; composition with it is still exact on
-    truncated series.
-    """
-    m, k = half_counts(n)
-    out = []
-    for i in range(m):
-        out.append(Series.variable(k, N, i))
-        out.append(Series.one(k, N))
-    if n % 2:
-        out.append(Series.variable(k, N, k - 1))
     return tuple(out)
 
 

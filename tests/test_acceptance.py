@@ -268,11 +268,11 @@ def test_criterion_5_normal_form():
         for flavor in ("paired", "primes"):
             for i in range(17):
                 F = _pd_instance(n, flavor, seed=5000 + 100 * n + i)
-                G, K, _ = poincare_dulac(F)
+                G, K = poincare_dulac(F)
                 Lm = FormalMap.from_linear(F.linear_part(), F.trunc)
                 assert map_compose(G, Lm) == map_compose(Lm, G)
                 assert K.is_tangent_to_identity()
-                G2, K2, _ = poincare_dulac(G)
+                G2, K2 = poincare_dulac(G)
                 assert G2 == G and K2.is_identity()
                 assert conjugate(F, K) == G
                 count += 1
@@ -469,7 +469,7 @@ def test_criterion_8_balancing_construction():
     Tm = FormalMap.from_linear(T, N)
     lam = FormalMap.from_linear(Matrix.diagonal([Q(2), Q(1, 2)]), N)
     M1 = map_compose(lam, conjugate(S, Tm))
-    G, _, _ = poincare_dulac(M1)
+    G, _ = poincare_dulac(M1)
     slots_ok = (
         G.comps[0].coefficient((3, 2)) == Q(2) * (-R3 / Scalar(9))
         and G.comps[1].coefficient((2, 3)) == Q(1, 2) * (R3 / Scalar(9))

@@ -24,6 +24,7 @@ from revfactor.dim1 import (
 )
 from revfactor.maps import (
     FormalMap,
+    conjugate,
     element_order,
     is_involution,
     map_compose,
@@ -31,6 +32,7 @@ from revfactor.maps import (
 )
 from revfactor.normalform import Obstruction, verify_witness
 from revfactor.scalars import ONE, ZERO, Scalar, scalar
+from revfactor.series import Series
 
 
 def recompose(factors):
@@ -279,9 +281,9 @@ def _solve_reference(build, nparams, N, start=2):
     return params
 
 
-def _full_n_solver(build, slots, N, start=2):
+def _full_n_solver(build, slots, N):
     """The reference behind the sliced solver's interface."""
-    return _solve_reference(lambda params: build(params, N), len(slots), N, start)
+    return _solve_reference(lambda params: build(params, N), len(slots), N)
 
 
 def _quarter_family_reference(c, N):
@@ -320,6 +322,49 @@ def test_quarter_family_solves_its_equation_and_scales(c, N):
         coeff(A, k) == coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, N + 1)
     )
     assert A == _quarter_family_reference(c, N)
+
+
+def _quartic_flattening_reference(g):
+    """The dress q = t + c t^2 that the probe solver finds to clear the
+    quartic coefficient of q^-1 o g o q."""
+    N = g.trunc
+
+    def dress(params):
+        return poly1({1: ONE, 2: params[0]}, N)
+
+    def build(params):
+        return Series(1, N, {(4,): coeff(conjugate(g, dress(params)), 4)})
+
+    sol = _solve_reference(build, 1, N, start=4)
+    assert not isinstance(sol, Obstruction), sol
+    return dress(sol)
+
+
+@st.composite
+def cubic_led_maps(draw):
+    N = draw(st.integers(4, 8))
+    a = draw(small_rationals().filter(bool))
+    rest = draw(st.lists(small_rationals(), min_size=N - 3, max_size=N - 3))
+    return poly1({1: 1, 3: a, **{d + 4: c for d, c in enumerate(rest)}}, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cubic_led_maps())
+def test_quartic_flattening_matches_the_probe_solve(g):
+    # the first conjugation _p2_split makes is g by its quadratic dress
+    dresses = []
+
+    def recording(F, K):
+        dresses.append(K)
+        return conjugate(F, K)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dim1, "conjugate", recording)
+        parts = dim1._p2_split(g)
+    assert recompose(parts) == g
+    q = dresses[0]
+    assert q == _quartic_flattening_reference(g)
+    assert coeff(conjugate(g, q), 4).is_zero()
 
 
 @st.composite

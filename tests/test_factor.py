@@ -226,8 +226,7 @@ N3_GENERAL = (
 
 def test_reduce_to_centralizer_contract():
     F = parse_map(N3_GENERAL)
-    G, prefix, C, sigma = reduce_to_centralizer(F)
-    assert sigma == (2, 1, 0)
+    G, prefix, C = reduce_to_centralizer(F)
     assert centralizer_membership(G)
     for f in prefix:
         assert verify_witness(f.map, f.witness)
@@ -340,7 +339,7 @@ def test_balanced_normal_form_coefficients():
     T = FormalMap.from_linear(balance_matrix(), N)
     lam = _diag_map([Q(2), Q(1, 2)], N)
     M1 = map_compose(lam, conjugate(S, T))
-    G, K, _ = poincare_dulac(M1)
+    G, K = poincare_dulac(M1)
     third = -R3 / Scalar(9)
     assert G.comps[0].coefficient((3, 2)) == Q(2) * third
     assert G.comps[1].coefficient((2, 3)) == Q(1, 2) * -third

@@ -8,6 +8,7 @@ from revfactor.maps import (
     FormalMap,
     Matrix,
     conjugate,
+    conjugate_linear,
     element_order,
     map_compose,
     map_invert,
@@ -15,7 +16,6 @@ from revfactor.maps import (
 from revfactor.normalform import (
     Obstruction,
     Witness,
-    find_reverser,
     poincare_dulac,
     solve_conjugacy,
     verify_witness,
@@ -30,6 +30,22 @@ def _one_d(coeffs, N=6):
     return FormalMap([Series(1, N, data)])
 
 
+def _eigenvalue(lam, q):
+    power = Scalar(1)
+    for l, k in zip(lam, q):
+        power = power * l**k
+    return power
+
+
+def _extend_seed(g, seed):
+    """h = seed o U with h^-1 g h = g^-1: U conjugates seed^-1 g seed to
+    g^-1, or the Obstruction solve_conjugacy returns."""
+    U = solve_conjugacy(conjugate_linear(g, seed), map_invert(g))
+    if isinstance(U, Obstruction):
+        return U
+    return map_compose(FormalMap.from_linear(seed, g.trunc), U)
+
+
 # ---------------------------------------------------------------------------
 # poincare_dulac
 
@@ -38,28 +54,26 @@ def test_normalization_frozen_example():
     F = FormalMap(
         [Series(2, 6, {(1, 0): 2, (0, 2): 1}), Series(2, 6, {(0, 1): scalar(1) / 2})]
     )
-    G, K, report = poincare_dulac(F)
+    G, K = poincare_dulac(F)
     assert G == FormalMap.diagonal([2, scalar(1) / 2], 6)
     assert K.comps[0] == Series(2, 6, {(1, 0): 1, (0, 2): scalar(-4) / 7})
     assert K.comps[1] == Series(2, 6, {(0, 1): 1})
-    assert (1, (0, 2), Scalar(1)) in report.eliminated
     assert map_compose(F, K) == map_compose(K, G)
 
 
 def test_normalization_of_linear_is_trivial():
     F = FormalMap.diagonal([3, 5], 5)
-    G, K, report = poincare_dulac(F)
+    G, K = poincare_dulac(F)
     assert G == F
     assert K.is_identity()
-    assert report.resonant == () and report.eliminated == ()
 
 
 def test_normalization_is_idempotent():
     F = FormalMap(
         [Series(2, 5, {(1, 0): 2, (0, 2): 1, (2, 1): 3}), Series(2, 5, {(0, 1): 5})]
     )
-    G, K, _ = poincare_dulac(F)
-    G2, K2, _ = poincare_dulac(G)
+    G, K = poincare_dulac(F)
+    G2, K2 = poincare_dulac(G)
     assert G2 == G
     assert K2.is_identity()
 
@@ -84,7 +98,7 @@ def test_generic_paired_linear_part_normalizes_into_centralizer():
                 data[tuple(e)] = rng.choice([1, -1, 2])
             junk.append(Series(n, 5, data))
         F = FormalMap(junk)
-        G, K, _ = poincare_dulac(F)
+        G, K = poincare_dulac(F)
         assert K.is_tangent_to_identity()
         assert map_compose(F, K) == map_compose(K, G)
         assert centralizer_membership(G)
@@ -97,13 +111,15 @@ def test_surviving_monomials_are_exactly_resonant():
             Series(2, 5, {(0, 1): scalar(1) / 2, (1, 2): -1, (3, 0): 1}),
         ]
     )
-    G, K, report = poincare_dulac(F)
+    G, K = poincare_dulac(F)
+    lam = (Scalar(2), scalar(1) / 2)
     for j in range(2):
-        for q, _ in G.comps[j].coeffs.items():
+        for q in G.comps[j].coeffs:
+            assert _eigenvalue(lam, q) == lam[j]
+        for q in K.comps[j].coeffs:
             if sum(q) > 1:
-                assert report.is_resonant(j + 1, q)
-    for comp, q, _ in report.eliminated:
-        assert not report.is_resonant(comp, q)
+                assert _eigenvalue(lam, q) != lam[j]
+    assert any(sum(q) > 1 for c in K.comps for q in c.coeffs)
     # the resonant coefficients kept: z1^2 z2 in comp 1, z1 z2^2 in comp 2
     assert G.comps[0] == Series(2, 5, {(1, 0): 2, (2, 1): 1})
     assert G.comps[1] == Series(2, 5, {(0, 1): scalar(1) / 2, (1, 2): -1})
@@ -122,8 +138,10 @@ def test_conjugacy_identity_case():
 def test_conjugacy_scaling_seed():
     G = _one_d({1: 1, 2: 1, 3: 1})
     F = _one_d({1: 1, 2: 2, 3: 4})
-    K = solve_conjugacy(G, F, seed=Matrix([[2]]))
-    assert isinstance(K, FormalMap)
+    seed = Matrix([[2]])
+    U = solve_conjugacy(conjugate_linear(G, seed), F)
+    assert isinstance(U, FormalMap)
+    K = map_compose(FormalMap.from_linear(seed, 6), U)
     assert K == _one_d({1: 2})
     assert map_compose(G, K) == map_compose(K, F)
 
@@ -157,48 +175,42 @@ def test_conjugacy_solves_non_resonant_two_dim():
 
 
 # ---------------------------------------------------------------------------
-# find_reverser
+# solve_conjugacy against g^-1: extending a linear reverser seed
 
 
 def test_reverser_frozen_moebius():
     g = _one_d({1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})  # t/(1-t) truncated
-    w = find_reverser(g, Matrix([[-1]]))
-    assert isinstance(w, Witness)
-    assert w.kind == "involutive_reverser"
-    assert w.h == _one_d({1: -1})
-    assert verify_witness(g, w)
+    h = _extend_seed(g, Matrix([[-1]]))
+    assert h == _one_d({1: -1})
+    assert map_compose(h, h).is_identity()
+    assert verify_witness(g, Witness("involutive_reverser", h, 6))
 
 
 def test_reverser_frozen_order_four():
     g = _one_d({1: 1, 3: 1, 5: scalar(3) / 2})
-    w = find_reverser(g, Matrix([[I]]))
-    assert isinstance(w, Witness)
-    assert w.kind == "reverser"
-    assert w.h == _one_d({1: I})
-    assert element_order(w.h, 6) == 4
-    assert verify_witness(g, w)
+    h = _extend_seed(g, Matrix([[I]]))
+    assert h == _one_d({1: I})
+    assert element_order(h, 6) == 4
+    assert verify_witness(g, Witness("reverser", h, 6))
 
 
 def test_reverser_frozen_paired_diagonal():
     for n in (2, 3, 4, 5):
         Lam = fresh_prime_diagonal(n).realize(4)
         J = pair_swap(n, 4)
-        w = find_reverser(Lam, J.linear_part())
-        assert isinstance(w, Witness)
-        assert w.kind == "involutive_reverser"
-        assert w.h == J
+        assert _extend_seed(Lam, J.linear_part()) == J
 
 
 def test_reverser_rejects_bad_linear_seed():
     g = _one_d({1: 2, 2: 1})
-    res = find_reverser(g, Matrix([[1]]))
+    res = _extend_seed(g, Matrix([[1]]))
     assert isinstance(res, Obstruction)
     assert "linear part" in res.note
 
 
 def test_reverser_obstruction_at_higher_degree():
     g = _one_d({1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})
-    res = find_reverser(g, Matrix([[2]]))  # preserves linear part but fails later
+    res = _extend_seed(g, Matrix([[2]]))  # preserves linear part but fails later
     assert isinstance(res, Obstruction)
     assert res.degree == 2
 
@@ -210,10 +222,10 @@ def test_reverser_nontrivial_correction():
     V = FormalMap([Series(2, 6, {(1, 0): 1, (0, 2): 1}), Series(2, 6, {(0, 1): 1})])
     g = conjugate(Lam, V)
     J = pair_swap(2, 6)
-    w = find_reverser(g, J.linear_part())
-    assert isinstance(w, Witness)
-    assert verify_witness(g, w)
-    assert w.h != J
+    h = _extend_seed(g, J.linear_part())
+    assert isinstance(h, FormalMap)
+    assert verify_witness(g, Witness("reverser", h, 6))
+    assert h != J
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +240,9 @@ def test_witness_serialization_roundtrip():
 
 
 def test_verify_witness_rejects_tampering():
-    g = _one_d({1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})
-    w = find_reverser(g, Matrix([[-1]]))
+    g = _one_d({1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1})  # t/(1-t) truncated
+    w = Witness("involutive_reverser", _one_d({1: -1}), 6)
+    assert verify_witness(g, w)
     bad = Witness(w.kind, _one_d({1: -1, 2: 1}), w.checked_degree)
     assert not verify_witness(g, bad)
 
