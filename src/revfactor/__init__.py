@@ -7,7 +7,6 @@ from .scalars import (  # noqa: F401
     parse_scalar,
     format_scalar,
     scalar,
-    solve_quadratic,
 )
 from .series import (  # noqa: F401
     Series,

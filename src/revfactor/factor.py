@@ -34,7 +34,7 @@ from .maps import (
     parse_map,
 )
 from .normalform import Obstruction, Witness, poincare_dulac, verify_witness
-from .scalars import ONE, Scalar, TextFormatError, rat, scalar, solve_quadratic
+from .scalars import ONE, Scalar, TextFormatError, rat, scalar
 from .series import Series
 from .structure import (
     PairedDiagonal,
@@ -422,15 +422,13 @@ def split_paired_generic(T: PairedDiagonal):
 def split_diagonal_generic(T: Matrix):
     """A diagonal matrix of determinant 1 as T1 * T2 * T3 with T1
     pair-reciprocal and T2, T3 pair-reciprocal and generic after one
-    permutation sigma.  Returns (T1, T2, T3, sigma)."""
+    permutation sigma.  Returns (T1, T2, sigma); T3 is the rest."""
     T1, T2, sigma = split_diagonal_pair(T)
     permuted = _permuted_entries(T2.diagonal_entries(), sigma)
     mult = _paired_entries(permuted)
-    B1, B2 = split_paired_generic(PairedDiagonal(mult, len(permuted)))
-    inv = _inverse_perm(sigma)
-    T2b = Matrix.diagonal(_permuted_entries(B1.entries(), inv))
-    T3 = Matrix.diagonal(_permuted_entries(B2.entries(), inv))
-    return T1, T2b, T3, sigma
+    B1, _ = split_paired_generic(PairedDiagonal(mult, len(permuted)))
+    T2b = Matrix.diagonal(_permuted_entries(B1.entries(), _inverse_perm(sigma)))
+    return T1, T2b, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -574,15 +572,7 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
         inner.append((Phi, PermSpec(swap_perm(k)), "reversible"))
     if K is not None:
         inner = _dress_pieces(inner, K)
-    pieces = pre + inner
-    prod = FormalMap.identity(k, N)
-    for m, _, _ in pieces:
-        prod = map_compose(prod, m)
-    # The product may carry monomials the deeper windows discard; they
-    # lie outside this level's window too, and vanish once lifted.
-    if _weighted_canonical(prod, weights, odd_last) != X:
-        raise AssertionError(f"width-{k} split failed to recompose")
-    return pieces
+    return pre + inner
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +622,7 @@ def reduce_to_centralizer(F: FormalMap):
     L = F.linear_part()
     if not L.is_diagonal() and not L.is_upper_triangular():
         raise ValueError("reduction needs a diagonal or triangular linear part")
-    T1, T2, _, sigma = split_diagonal_generic(
+    T1, T2, sigma = split_diagonal_generic(
         Matrix.diagonal(L.diagonal_entries())
     )
     J = pair_swap(n, N)
@@ -675,7 +665,8 @@ def balance_matrix() -> Matrix:
     the quintic obstruction: with bc a root of 6x^2 + 6x + 1, both
     components of the normal form carry the same coefficient up to sign,
     so the base map of the normal form starts at degree >= 4."""
-    rho = solve_quadratic(6, 6, 1)[0]
+    # rho = bc = -1/2 + sqrt(3)/6, the root (-6 + 2 r3)/12 of 6x^2 + 6x + 1
+    rho = Scalar(rat(-1, 2), 0, rat(1, 6), 0)
     return Matrix([[ONE, ONE], [rho, ONE + rho]])
 
 
@@ -720,13 +711,9 @@ def _s_machine(S: FormalMap, trace) -> list:
     Dinv = map_invert(D)
     out = [map_compose(X0, W0), W0]
     out += [map_compose(map_compose(D, I), Dinv) for I in inner]
-    prod = FormalMap.identity(2, N)
     for I in out:
         if not is_involution(I):  # pragma: no cover
             raise AssertionError("balanced piece is not an involution")
-        prod = map_compose(prod, I)
-    if prod != S:  # pragma: no cover
-        raise AssertionError("balanced split failed to recompose")
     trace.append("order-four balancing over SL(2) at width 2")
     return out
 
@@ -858,9 +845,14 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
             core, FormalMap.from_linear(E, N), FormalMap.from_linear(E.inverse(), N)
         )
     factors += core
-    fz = Factorization(F, mode, tuple(factors), tuple(trace))
-    if fz.recompose() != F:  # pragma: no cover - every stage is exact
-        raise AssertionError("driver failed to recompose the target")
+    return _recomposed(Factorization(F, mode, tuple(factors), tuple(trace)))
+
+
+def _recomposed(fz: Factorization) -> Factorization:
+    """fz, once its factors are checked to compose to its target: the
+    one recomposition each front end makes."""
+    if fz.recompose() != fz.target:  # pragma: no cover - every stage is exact
+        raise AssertionError(f"{fz.mode} factorization failed to recompose")
     return fz
 
 
@@ -882,7 +874,9 @@ def factor_dim1_reversibles(g: FormalMap, seeds=None) -> Factorization:
     factors = tuple(
         Factor(m, w, _kind_for_witness(w)) for m, w in parts
     )
-    return Factorization(g, "reversible", factors, ("one-variable split",))
+    return _recomposed(
+        Factorization(g, "reversible", factors, ("one-variable split",))
+    )
 
 
 def factor_dim1_involutions(g: FormalMap) -> Factorization:
@@ -892,22 +886,19 @@ def factor_dim1_involutions(g: FormalMap) -> Factorization:
     if g.nvars != 1:
         raise ValueError("expected a one-variable map")
     if is_involution(g) and not g.is_identity():
-        return Factorization(
-            g, "involutive", (_involution(g),), ("already an involution",)
-        )
-    try:
-        parts = dim1.split_involutions(g)
-    except ValueError as exc:
-        raise FactorObstruction(str(exc)) from None
-    if isinstance(parts, Obstruction):
-        raise FactorObstruction(
-            "no involution product exists: " + parts.note, obstruction=parts
-        )
-    return Factorization(
-        g,
-        "involutive",
-        tuple(_involution(m) for m in parts),
-        ("one-variable involution split",),
+        parts, note = [g], "already an involution"
+    else:
+        try:
+            parts = dim1.split_involutions(g)
+        except ValueError as exc:
+            raise FactorObstruction(str(exc)) from None
+        if isinstance(parts, Obstruction):
+            raise FactorObstruction(
+                "no involution product exists: " + parts.note, obstruction=parts
+            )
+        note = "one-variable involution split"
+    return _recomposed(
+        Factorization(g, "involutive", tuple(_involution(m) for m in parts), (note,))
     )
 
 

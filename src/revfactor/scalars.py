@@ -20,7 +20,6 @@ arithmetic path; there is no optional accelerator.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,42 +41,6 @@ def _exact(x):
 def rat(p, q=1):
     """Build an exact rational, a fractions.Fraction; floats are refused."""
     return Fraction(_exact(p), _exact(q))
-
-
-def _rat_sqrt(r):
-    """Exact square root of a nonnegative rational, or None."""
-    if r < 0:
-        return None
-    p, q = r.numerator, r.denominator
-    sp, sq = math.isqrt(int(p)), math.isqrt(int(q))
-    if sp * sp == p and sq * sq == q:
-        return Fraction(sp, sq)
-    return None
-
-
-def _qi_sqrt(p, q):
-    """Square root of p + q*i inside Q(i), as a (re, im) pair, or None.
-
-    Solving (u + v*i)^2 = p + q*i needs u^2 = (p + n)/2 with
-    n = sqrt(p^2 + q^2); the root exists in Q(i) iff n and then u are
-    rational, with v = q/(2u).
-    """
-    if q == 0:
-        s = _rat_sqrt(p)
-        if s is not None:
-            return (s, Fraction(0))
-        s = _rat_sqrt(-p)
-        if s is not None:
-            return (Fraction(0), s)
-        return None
-    n = _rat_sqrt(p * p + q * q)
-    if n is None:
-        return None
-    u = _rat_sqrt((p + n) / 2)
-    if u is None or u == 0:
-        return None
-    v = q / (2 * u)
-    return (u, v)
 
 
 def _coordinate(k, unit):
@@ -251,58 +214,6 @@ class Scalar:
     def __str__(self):
         return format_scalar(self)
 
-    # -- roots ---------------------------------------------------------
-
-    def sqrt(self):
-        """An exact square root in Q(i, r3), or None if there is none.
-
-        Writes self as A + B*r3 with A, B in Q(i) and reduces to square
-        roots in Q(i).  The returned root is sign-normalized so that its
-        first nonzero coordinate is positive.
-        """
-        if self.is_zero():
-            return ZERO
-        A = (self.a, self.b)
-        B = (self.c, self.d)
-        root = None
-        if B == (0, 0):
-            z = _qi_sqrt(*A)
-            if z is not None:
-                root = Scalar(z[0], z[1])
-            else:
-                # maybe the root has the shape beta*r3 with beta in Q(i)
-                z = _qi_sqrt(A[0] / 3, A[1] / 3)
-                if z is not None:
-                    root = Scalar(0, 0, z[0], z[1])
-        else:
-            # alpha^2 + 3 beta^2 = A and 2 alpha beta = B force alpha^2 to
-            # satisfy 4 s^2 - 4 A s + 3 B^2 = 0 over Q(i).
-            Da = A[0] * A[0] - A[1] * A[1] - 3 * (B[0] * B[0] - B[1] * B[1])
-            Db = 2 * A[0] * A[1] - 6 * B[0] * B[1]
-            w = _qi_sqrt(Da, Db)
-            if w is not None:
-                for sgn in (1, -1):
-                    sa = (A[0] + sgn * w[0]) / 2
-                    sb = (A[1] + sgn * w[1]) / 2
-                    alpha = _qi_sqrt(sa, sb)
-                    if alpha is None or alpha == (0, 0):
-                        continue
-                    # beta = B / (2 alpha) in Q(i)
-                    den = 2 * (alpha[0] * alpha[0] + alpha[1] * alpha[1])
-                    br = (B[0] * alpha[0] + B[1] * alpha[1]) / den
-                    bi = (B[1] * alpha[0] - B[0] * alpha[1]) / den
-                    cand = Scalar(alpha[0], alpha[1], br, bi)
-                    if cand * cand == self:
-                        root = cand
-                        break
-        if root is None:
-            return None
-        for num in root._v[:4]:
-            if num > 0:
-                return root
-            if num < 0:
-                return -root
-        return root
 
 
 _new = object.__new__
@@ -573,29 +484,3 @@ def parse_scalar(text: str) -> Scalar:
         nums[idx] += num
         pos = m.end()
     return _make(*nums, den)
-
-
-# ---------------------------------------------------------------------------
-# quadratics
-
-
-def solve_quadratic(a, b, c):
-    """Exact roots of a*x^2 + b*x + c = 0 over Q(i, r3).
-
-    Returns the pair ((-b + s)/(2a), (-b - s)/(2a)) where s is the
-    sign-normalized square root of the discriminant.  Raises
-    FieldExtensionError when the discriminant has no square root in the
-    field, naming the discriminant in the message.
-    """
-    a, b, c = scalar(a), scalar(b), scalar(c)
-    if a.is_zero():
-        raise ValueError("leading coefficient is zero; not a quadratic")
-    disc = b * b - 4 * a * c
-    s = disc.sqrt()
-    if s is None:
-        raise FieldExtensionError(
-            f"field extension required: discriminant {format_scalar(disc)} "
-            "has no square root in Q(i, r3)"
-        )
-    inv2a = (2 * a).inverse()
-    return ((-b + s) * inv2a, (-b - s) * inv2a)

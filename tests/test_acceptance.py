@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from revfactor.scalars import ONE, R3, Scalar, scalar, solve_quadratic
+from revfactor.scalars import ONE, R3, Scalar, scalar
 from revfactor.series import Series, compose
 from revfactor.maps import (
     FormalMap,
@@ -445,7 +445,7 @@ def test_criterion_7_composition_laws():
 
 
 def test_criterion_8_balancing_construction():
-    r1, r2 = solve_quadratic(6, 6, 1)
+    r1, r2 = Q(-1, 2) + R3 / Scalar(6), Q(-1, 2) - R3 / Scalar(6)
     roots_ok = all(
         Scalar(6) * r * r + Scalar(6) * r + ONE == Scalar(0) for r in (r1, r2)
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revfactor.scalars import ONE, R3, Scalar, scalar, solve_quadratic
+from revfactor.scalars import ONE, R3, Scalar, scalar
 from revfactor.series import Series
 from revfactor.maps import (
     FormalMap,
@@ -21,6 +21,7 @@ from revfactor.maps import (
     map_invert,
     parse_map,
 )
+from revfactor import dim1
 from revfactor.cli import main
 from revfactor.normalform import Witness, poincare_dulac, verify_witness
 from revfactor.structure import (
@@ -111,35 +112,28 @@ def test_split_paired_generic_rejects_irrational():
         split_paired_generic(PairedDiagonal((R3, ONE), 4))
 
 
+def _rest_of_split(d, T1, T2):
+    """The third factor T3 = d / (T1 T2) of split_diagonal_generic."""
+    return [x / (y * z) for x, y, z in zip(d, T1.entries(), T2.diagonal_entries())]
+
+
 def test_split_diagonal_generic_three_vars():
     d = [Q(2), Q(3), Q(1, 6)]
-    T1, T2, T3, sigma = split_diagonal_generic(Matrix.diagonal(d))
+    T1, T2, sigma = split_diagonal_generic(Matrix.diagonal(d))
+    T3 = _rest_of_split(d, T1, T2)
     assert tuple(T1.entries()) == (Q(2), Q(1, 2), Q(1))
     assert tuple(T2.diagonal_entries()) == (Q(1), Q(6, 5), Q(5, 6))
-    assert tuple(T3.diagonal_entries()) == (Q(1), Q(5), Q(1, 5))
+    assert tuple(T3) == (Q(1), Q(5), Q(1, 5))
     assert sigma == (2, 1, 0)
-    prod = [
-        x * y * z
-        for x, y, z in zip(
-            T1.entries(), T2.diagonal_entries(), T3.diagonal_entries()
-        )
-    ]
-    assert prod == d
 
 
 def test_split_diagonal_generic_four_vars():
     d = [Q(2), Q(3), Q(5), Q(1, 30)]
-    T1, T2, T3, sigma = split_diagonal_generic(Matrix.diagonal(d))
+    T1, T2, sigma = split_diagonal_generic(Matrix.diagonal(d))
+    T3 = _rest_of_split(d, T1, T2)
     assert tuple(T2.diagonal_entries()) == (Q(1, 7), Q(30), Q(1, 30), Q(7))
-    assert tuple(T3.diagonal_entries()) == (Q(7), Q(1, 5), Q(5), Q(1, 7))
+    assert tuple(T3) == (Q(7), Q(1, 5), Q(5), Q(1, 7))
     assert sigma == (1, 2, 3, 0)
-    prod = [
-        x * y * z
-        for x, y, z in zip(
-            T1.entries(), T2.diagonal_entries(), T3.diagonal_entries()
-        )
-    ]
-    assert prod == d
 
 
 def test_split_diagonal_pair_reversal_witnesses():
@@ -311,8 +305,8 @@ def test_triangular_eigenbasis_rejects_other_shapes_and_collisions():
 
 def test_balance_matrix_frozen():
     T = balance_matrix()
-    rho = solve_quadratic(6, 6, 1)[0]
-    assert rho == Q(-1, 2) + R3 / Scalar(6)
+    rho = Q(-1, 2) + R3 / Scalar(6)
+    assert 6 * rho * rho + 6 * rho + 1 == Scalar(0)
     assert T.rows[0] == (ONE, ONE)
     assert T.rows[1] == (rho, ONE + rho)
     assert T.det() == ONE
@@ -353,6 +347,29 @@ def test_cubic_led_shift_splits_into_four_involutions():
     assert verify_factorization(fz).ok
     assert "paired-centralizer member: direct split" in fz.trace
     assert "order-four balancing over SL(2) at width 2" in fz.trace
+
+
+def test_balancing_with_a_nonidentity_balanced_base():
+    # The balanced normal form keeps a base map t + O(t^4) that is not the
+    # identity, so the balancing step lifts and conjugates its involutions.
+    S = parse_map(
+        "map n=2 N=9 { comp1: { [1,0]: 1 ; [2,1]: 2 ; [3,2]: 1 ; [4,3]: 1 } ; "
+        "comp2: { [0,1]: 1 } }"
+    )
+    fz = factor_involutions(S)
+    assert len(fz.factors) == 10 <= factor_budget(2, "involutive", False)
+    assert verify_factorization(fz).ok
+    assert "order-four balancing over SL(2) at width 2" in fz.trace
+
+
+def test_base_remainder_with_zero_cubic_invariant_splits_directly():
+    # The lifted base map t + t^4 has no quadratic term and a zero cubic
+    # invariant, so it splits into involutions without the balancing step.
+    S = lift_section(dim1.poly1({1: 1, 4: 1}, 8), 2)
+    fz = factor_involutions(S)
+    assert len(fz.factors) == 4 <= factor_budget(2, "involutive", False)
+    assert verify_factorization(fz).ok
+    assert "order-four balancing over SL(2) at width 2" not in fz.trace
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +560,15 @@ def test_factor_dim1():
     fz = factor_dim1_reversibles(g)
     assert len(fz.factors) <= 2
     assert fz.recompose() == g
+    assert verify_factorization(fz).ok
+
+
+def test_factor_dim1_quartic_led_map_shifts():
+    # t + t^4 has no reverser, so the split shifts by the standard
+    # homography and reverses the cofactor.
+    g = dim1.poly1({1: 1, 4: 1}, 8)
+    fz = factor_dim1_reversibles(g)
+    assert len(fz.factors) == 2 <= factor_budget(1, "reversible", False)
     assert verify_factorization(fz).ok
 
 

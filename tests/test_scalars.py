@@ -24,7 +24,6 @@ from revfactor.scalars import (
     reverser_seeds,
     root_of_unity_order,
     scalar,
-    solve_quadratic,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -51,27 +50,6 @@ def test_inverse_frozen_example():
     assert x * x.inverse() == ONE
 
 
-def test_solve_quadratic_frozen_example():
-    r_plus, r_minus = solve_quadratic(6, 6, 1)
-    assert r_plus == Scalar(rat(-1, 2), 0, rat(1, 6), 0)
-    assert r_minus == Scalar(rat(-1, 2), 0, rat(-1, 6), 0)
-    # both really are roots
-    for r in (r_plus, r_minus):
-        assert 6 * r * r + 6 * r + 1 == ZERO
-
-
-def test_solve_quadratic_field_extension_error():
-    with pytest.raises(FieldExtensionError) as exc:
-        solve_quadratic(1, 0, -2)
-    assert "8" in str(exc.value)
-    assert "field extension required" in str(exc.value)
-
-
-def test_solve_quadratic_rejects_degenerate():
-    with pytest.raises(ValueError):
-        solve_quadratic(0, 1, 1)
-
-
 def test_twelfth_roots_are_all_roots_of_unity():
     assert len(set(TWELFTH_ROOTS)) == 12
     orders = sorted(root_of_unity_order(z) for z in TWELFTH_ROOTS)
@@ -90,26 +68,6 @@ def test_reverser_seeds():
     # p divisible by 4 needs an 8th root, which the field lacks
     assert reverser_seeds(4) == []
     assert reverser_seeds(8) == []
-
-
-def test_sqrt_examples():
-    assert Scalar(12).sqrt() == Scalar(0, 0, 2, 0)
-    assert Scalar(-4).sqrt() == Scalar(0, 2, 0, 0)
-    assert Scalar(rat(9, 4)).sqrt() == Scalar(rat(3, 2))
-    assert Scalar(2).sqrt() is None
-    assert I.sqrt() is None  # sqrt(i) is an 8th root of unity
-    two_i = 2 * I
-    s = two_i.sqrt()
-    assert s is not None and s * s == two_i
-
-
-@given(scalars(allow_zero=False))
-@settings(max_examples=80)
-def test_sqrt_of_square_roundtrips(x):
-    s = (x * x).sqrt()
-    assert s is not None
-    assert s * s == x * x
-    assert s in (x, -x)
 
 
 @given(scalars(), scalars(), scalars())
@@ -282,6 +240,13 @@ def test_kernel_matches_fraction_reference(u, w, k):
     for got, want in results:
         assert_normal_form(got)
         assert ref(got).v == want.v
+
+
+def test_rational_refuses_an_irrational_scalar():
+    with pytest.raises(FieldExtensionError):
+        (ONE + R3).rational()
+    with pytest.raises(FieldExtensionError):
+        I.rational()
 
 
 @given(mixed_rationals, mixed_rationals)
