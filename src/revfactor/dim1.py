@@ -26,7 +26,9 @@ cubic-led map, which has a closed form.
 
 from __future__ import annotations
 
-from .maps import FormalMap, composite_part, conjugate, is_involution, map_compose, map_invert
+from .maps import (
+    FormalMap, composite_part, conjugate, dress, is_involution, map_compose, map_invert,
+)
 from .normalform import Obstruction, Witness, verify_witness
 from .scalars import ONE, ZERO, Scalar, rat, reverser_seeds, scalar
 from .series import Series
@@ -225,8 +227,7 @@ def mobius_witness(g: FormalMap):
     s = conjugate_to(g, mobius(coeff(g, 2), N))
     if s is None:
         return None
-    h = map_compose(map_compose(s, flip(N)), map_invert(s))
-    w = Witness("involutive_reverser", h, N)
+    w = Witness("involutive_reverser", dress([flip(N)], s, map_invert(s))[0], N)
     return w if verify_witness(g, w) else None
 
 
@@ -262,15 +263,6 @@ def quarter_witness(N: int) -> Witness:
     return Witness("reverser", quarter_turn(N), N)
 
 
-def _dress(F: FormalMap, v: FormalMap) -> FormalMap:
-    """v o F o v^-1."""
-    return map_compose(map_compose(v, F), map_invert(v))
-
-
-def _dress_witness(w: Witness, v: FormalMap) -> Witness:
-    return Witness(w.kind, _dress(w.h, v), w.checked_degree)
-
-
 def _class_member(c3: Scalar, c4: Scalar, N: int):
     """The order-four reversed map with prescribed cubic and quartic
     coefficients, plus its witness.  A quadratic dress of the odd family
@@ -279,7 +271,8 @@ def _class_member(c3: Scalar, c4: Scalar, N: int):
     if c4.is_zero():
         return A, quarter_witness(N)
     v = poly1({1: ONE, 2: c4 / c3}, N)
-    return _dress(A, v), _dress_witness(quarter_witness(N), v)
+    A, h = dress([A, quarter_turn(N)], v, map_invert(v))
+    return A, Witness("reverser", h, N)
 
 
 # ---------------------------------------------------------------------------
@@ -297,28 +290,28 @@ def _p1_split(g: FormalMap):
         # coefficient scales by c^((k-1)/2) and no root is taken
         return poly1({k: coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, d + 1, 2)}, d)
 
+    # g = s o f o s^-1 o A is solved as u o g = f o u o A for u = s^-1,
+    # which needs no inverse per probe
     def build(params, d):
-        s = _dressing(ONE, [ZERO] + params[1:], d)
-        return gs[d].comps[0] - map_compose(_dress(fs[d], s), family(params[0], d)).comps[0]
+        u, A = _dressing(ONE, [ZERO] + params[1:], d), family(params[0], d)
+        return map_compose(u, gs[d]).comps[0] - map_compose(fs[d], map_compose(u, A)).comps[0]
 
-    # params[0] is the family's cubic coefficient; the rest fill the
-    # dressing s from degree 3 up
+    # params[0] is the family's cubic coefficient; the rest fill u from
+    # degree 3 up
     sol = _solve_degreewise(build, [3] + list(range(3, N)), N)
     if isinstance(sol, Obstruction):  # pragma: no cover - always solvable
         raise AssertionError(f"quadratic-led split failed: {sol.note}")
-    s = _dressing(ONE, [ZERO] + sol[1:], N)
-    F, A = _dress(fs[N], s), quarter_family(sol[0], N)
-    wF = Witness(
-        "involutive_reverser",
-        map_compose(map_compose(s, flip(N)), map_invert(s)),
-        N,
-    )
-    out = []
-    if not F.is_identity():
-        out.append((F, wF))
-    if not A.is_identity():
-        out.append((A, quarter_witness(N)))
-    return out
+    s = map_invert(_dressing(ONE, [ZERO] + sol[1:], N))
+    # the solve fixes s below degree N only; F does not see its degree-N
+    # coefficient, but at even N the witness s o flip o s^-1 does: zero
+    # it, and add it to u so that u stays the inverse of s
+    top = coeff(s, N)
+    s = _dressing(ONE, [coeff(s, k) for k in range(2, N)], N)
+    u = _dressing(ONE, [ZERO] + sol[1:] + [top], N)
+    F, h = dress([fs[N], flip(N)], s, u)
+    A = quarter_family(sol[0], N)
+    parts = [(F, Witness("involutive_reverser", h, N)), (A, quarter_witness(N))]
+    return [(m, w) for m, w in parts if not m.is_identity()]
 
 
 def _p2_split(g: FormalMap):
@@ -350,8 +343,8 @@ def _p2_split(g: FormalMap):
     wG = reverser_search(G, seeds=(I_UNIT, -I_UNIT))
     if wG is None:  # pragma: no cover - invariant bookkeeping guarantees it
         raise AssertionError("cofactor left the order-four class")
-    return [(_dress(F, q), _dress_witness(wF, q)),
-            (_dress(G, q), _dress_witness(wG, q))]
+    F, G, hF, hG = dress([F, G, wF.h, wG.h], q, map_invert(q))
+    return [(F, Witness(wF.kind, hF, N)), (G, Witness(wG.kind, hG, N))]
 
 
 def _shift_split(g: FormalMap):
@@ -417,7 +410,8 @@ def _flip_split(g: FormalMap):
     core = map_compose(flip(N), quarter_family(c, N))
     for _ in range(3):
         u = poly1({1: ONE, 2: u2}, N)
-        R = _dress(core, u)
+        uinv = map_invert(u)
+        R = dress([core], u, uinv)[0]
         B = map_compose(map_invert(R), g)
         if B.is_identity() or not coeff(B, 2).is_zero():
             break
@@ -425,7 +419,7 @@ def _flip_split(g: FormalMap):
     if is_involution(R):
         wR = Witness("involution_self", R, N)
     else:
-        wR = _dress_witness(quarter_witness(N), u)
+        wR = Witness("reverser", dress([quarter_turn(N)], u, uinv)[0], N)
         if not verify_witness(R, wR):  # pragma: no cover
             raise AssertionError("flip factor lost its witness")
     if B.is_identity():

@@ -27,6 +27,7 @@ from .maps import (
     Matrix,
     conjugate,
     conjugate_linear,
+    dress,
     format_map,
     is_involution,
     map_compose,
@@ -125,29 +126,19 @@ def lift_permutation(perm: tuple, n: int) -> tuple:
     m, k = half_counts(n)
     if len(perm) != k:
         raise ShapeError(f"permutation acts on {len(perm)} slots, need {k}")
-    out = [0] * n
-    if n % 2 == 0:
-        for i in range(m):
-            j = perm[i]
-            out[2 * i], out[2 * i + 1] = 2 * j, 2 * j + 1
-        return tuple(out)
-    if perm[k - 1] == k - 1:
-        for i in range(k - 1):
-            j = perm[i]
-            out[2 * i], out[2 * i + 1] = 2 * j, 2 * j + 1
-        out[n - 1] = n - 1
-        return tuple(out)
-    if k >= 2 and perm[k - 2] == k - 1 and perm[k - 1] == k - 2:
-        for i in range(k - 2):
-            j = perm[i]
-            if j >= k - 2:
-                raise ShapeError("pair block collides with the trailing swap")
-            out[2 * i], out[2 * i + 1] = 2 * j, 2 * j + 1
-        out[n - 3] = n - 1
-        out[n - 2] = n - 2
-        out[n - 1] = n - 3
-        return tuple(out)
-    raise ShapeError("singleton moves in a way the ambient cannot realize")
+    out = list(range(n))
+    blocks = m
+    if n % 2 and perm[k - 1] != k - 1:
+        if not (k >= 2 and perm[k - 2] == k - 1 and perm[k - 1] == k - 2):
+            raise ShapeError("singleton moves in a way the ambient cannot realize")
+        blocks = k - 2
+        out[n - 3], out[n - 1] = n - 1, n - 3
+    for i in range(blocks):
+        j = perm[i]
+        if j >= blocks:
+            raise ShapeError("pair block collides with the trailing swap")
+        out[2 * i], out[2 * i + 1] = 2 * j, 2 * j + 1
+    return tuple(out)
 
 
 def _lift_spec(spec, n: int):
@@ -170,12 +161,8 @@ def _materialize_spec(spec, m: FormalMap) -> FormalMap:
     if isinstance(spec, UnitSpec):
         return spec.h
     if isinstance(spec, DressSpec):
-        # A SELF inner spec refers to the undressed map, so strip the
-        # dressing before materializing and put it back afterwards.
-        inv = map_invert(spec.dress)
-        undressed = map_compose(map_compose(inv, m), spec.dress)
-        inner = _materialize_spec(spec.inner, undressed)
-        return map_compose(map_compose(spec.dress, inner), inv)
+        # _dress_pieces leaves SELF undressed, so the inner spec is not SELF
+        return dress([_materialize_spec(spec.inner, m)], spec.dress, map_invert(spec.dress))[0]
     raise TypeError(f"unknown witness spec {spec!r}")
 
 
@@ -259,22 +246,26 @@ def _lift_piece(piece, n: int):
 
 
 def _dress_pieces(pieces, K: FormalMap) -> list:
-    """Each piece conjugated to K o m o K^-1, with one inverse of K."""
-    Kinv = map_invert(K)
+    """Each piece conjugated to K o m o K^-1, with one inverse of K.  A
+    conjugated involution is still its own witness, so SELF stays."""
+    dressed = dress([m for m, _, _ in pieces], K, map_invert(K))
     return [
-        (map_compose(map_compose(K, m), Kinv), DressSpec(K, spec), kind)
-        for m, spec, kind in pieces
+        (m, spec if spec is SELF else DressSpec(K, spec), kind)
+        for m, (_, spec, kind) in zip(dressed, pieces)
     ]
 
 
 def _dress_factors(factors, C: FormalMap, Cinv: FormalMap) -> list:
     """Each factor and its witness conjugated to C o f o Cinv, for Cinv
-    the inverse of C."""
+    the inverse of C, all on one substitution table for Cinv."""
+    selfs = [f.witness.kind == "involution_self" for f in factors]
+    hs = [f.witness.h for f, own in zip(factors, selfs) if not own]
+    dressed = dress([f.map for f in factors] + hs, C, Cinv)
+    dressed_hs = iter(dressed[len(factors):])
     out = []
-    for f in factors:
-        m = map_compose(map_compose(C, f.map), Cinv)
+    for f, m, own in zip(factors, dressed, selfs):
         w = f.witness
-        h = m if w.kind == "involution_self" else map_compose(map_compose(C, w.h), Cinv)
+        h = m if own else next(dressed_hs)
         out.append(Factor(m, Witness(w.kind, h, w.checked_degree), f.kind))
     return out
 
@@ -627,19 +618,19 @@ def reduce_to_centralizer(F: FormalMap):
     )
     J = pair_swap(n, N)
     P = FormalMap.permutation(sigma, N)
-    Pinv = map_invert(P)
+    Pinv = FormalMap.permutation(_inverse_perm(sigma), N)
     prefix = []
     T1m = FormalMap.from_linear(T1.matrix(), N)
     if not T1m.is_identity():
         prefix.append(Factor(T1m, Witness("involutive_reverser", J, N), "linear"))
     T2m = FormalMap.from_linear(T2, N)
     if not T2m.is_identity():
-        w2 = map_compose(map_compose(Pinv, J), P)
+        w2 = dress([J], Pinv, P)[0]
         prefix.append(Factor(T2m, Witness("involutive_reverser", w2, N), "linear"))
     W = map_compose(FormalMap.from_linear((T1.matrix() * T2).inverse(), N), F)
     W, E = _diagonalized(W)
     # P o W o P^-1, whose linear part is T3^sigma, generic and paired
-    F2 = map_compose(map_compose(P, W), Pinv)
+    F2 = dress([W], P, Pinv)[0]
     G, K1 = _paired_normal_form(F2, "normal form after rebalancing", ())
     C = map_compose(Pinv, K1)
     if E is not None:
@@ -708,9 +699,7 @@ def _s_machine(S: FormalMap, trace) -> list:
         T * Matrix.permutation((1, 0)) * T.inverse(), N
     )
     D = map_compose(Tm, K1)
-    Dinv = map_invert(D)
-    out = [map_compose(X0, W0), W0]
-    out += [map_compose(map_compose(D, I), Dinv) for I in inner]
+    out = [map_compose(X0, W0), W0] + dress(inner, D, map_invert(D))
     for I in out:
         if not is_involution(I):  # pragma: no cover
             raise AssertionError("balanced piece is not an involution")

@@ -3,7 +3,8 @@
 A FormalMap is an n-tuple of Series in n variables, each truncated at the
 same degree N, with zero constant terms (maps fix the origin).  The group
 operations (composition, inversion, conjugation) all work mod total degree
-N+1, exactly.
+N+1, exactly.  Every conjugation goes through ``dress``, which conjugates
+several maps by one K and its inverse on one substitution table.
 
 Also here: exact small matrices over the scalar field, used for linear
 parts.
@@ -346,19 +347,31 @@ def map_invert(F: FormalMap) -> FormalMap:
     return G
 
 
+def dress(Fs, K: FormalMap, Kinv: FormalMap) -> list:
+    """K after F after Kinv for each F in Fs, Kinv the inverse of K.
+
+    Every K o F lies in one ring, and the memo of ``compose`` is keyed by
+    that ring's monomials, so one memo for Kinv serves them all.
+    """
+    memo: dict = {}
+    out = []
+    for F in Fs:
+        KF = map_compose(K, F)
+        comps = tuple(compose(c, Kinv.comps, memo) for c in KF.comps)
+        out.append(FormalMap.__new_raw__(KF.nvars, KF.trunc, comps))
+    return out
+
+
 def conjugate(F: FormalMap, K: FormalMap) -> FormalMap:
     """The conjugate K^{-1} after F after K."""
-    return map_compose(map_invert(K), map_compose(F, K))
+    return dress([F], map_invert(K), K)[0]
 
 
 def conjugate_linear(F: FormalMap, M: Matrix) -> FormalMap:
     """The conjugate K^{-1} after F after K for the linear map K with
     matrix M; K^{-1} comes from the matrix inverse, not from map_invert."""
     N = F.trunc
-    return map_compose(
-        FormalMap.from_linear(M.inverse(), N),
-        map_compose(F, FormalMap.from_linear(M, N)),
-    )
+    return dress([F], FormalMap.from_linear(M.inverse(), N), FormalMap.from_linear(M, N))[0]
 
 
 def is_involution(F: FormalMap) -> bool:

@@ -57,7 +57,6 @@ def pair_products(n: int, N: int):
 
 def pair_projection(n: int, N: int):
     """The k-component projection: pair products, plus z_n when n is odd."""
-    m, k = half_counts(n)
     out = list(pair_products(n, N))
     if n % 2:
         out.append(Series.variable(n, N, n - 1))

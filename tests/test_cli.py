@@ -131,6 +131,16 @@ def test_factor_involutive_mode(tmp_path, capsys, fmap):
     capsys.readouterr()
 
 
+def test_factor_involutive_mode_in_one_variable(tmp_path, capsys):
+    g = tmp_path / "g.map"
+    g.write_text("map n=1 N=6 { comp1: { [1]: 1 ; [4]: 2 } }\n")
+    out = tmp_path / "g.json"
+    assert main(["factor", "--mode", "involutive", str(g), "--out", str(out)]) == 0
+    assert "factors: 4 (budget 4, mode involutive)" in capsys.readouterr().out
+    assert main(["verify", str(out)]) == 0
+    assert "certificate OK" in capsys.readouterr().out
+
+
 def test_factor_obstruction_exits_3(tmp_path, capsys):
     theta = tmp_path / "theta.map"
     theta.write_text("map n=1 N=6 { comp1: { [1]: 1 ; [3]: 2 } }\n")

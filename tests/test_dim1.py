@@ -30,7 +30,7 @@ from revfactor.maps import (
     map_compose,
     map_invert,
 )
-from revfactor.normalform import Obstruction, verify_witness
+from revfactor.normalform import Obstruction, Witness, verify_witness
 from revfactor.scalars import ONE, ZERO, Scalar, scalar
 from revfactor.series import Series
 
@@ -367,6 +367,76 @@ def test_quartic_flattening_matches_the_probe_solve(g):
     assert coeff(conjugate(g, q), 4).is_zero()
 
 
+def _p1_split_reference(g):
+    """The quadratic-led split as the probe solve on s itself: every build
+    dresses the homography as s o f o s^-1, inverting s."""
+    N = g.trunc
+    gs, fs = dim1._slices(g), dim1._slices(mobius(coeff(g, 2), N))
+    unit = quarter_family(ONE, N)
+
+    def family(c, d):
+        return poly1({k: coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, d + 1, 2)}, d)
+
+    def dressed(F, s):
+        # through the module, so that _counted sees it
+        return map_compose(map_compose(s, F), maps.map_invert(s))
+
+    def build(params, d):
+        s = dim1._dressing(ONE, [ZERO] + params[1:], d)
+        return gs[d].comps[0] - map_compose(dressed(fs[d], s), family(params[0], d)).comps[0]
+
+    sol = dim1._solve_degreewise(build, [3] + list(range(3, N)), N)
+    assert not isinstance(sol, Obstruction), sol
+    s = dim1._dressing(ONE, [ZERO] + sol[1:], N)
+    F, A = dressed(fs[N], s), quarter_family(sol[0], N)
+    parts = [(F, Witness("involutive_reverser", dressed(flip(N), s), N)),
+             (A, dim1.quarter_witness(N))]
+    return [(m, w) for m, w in parts if not m.is_identity()]
+
+
+@st.composite
+def quadratic_led_maps(draw):
+    N = draw(st.integers(3, 9))
+    a = draw(small_rationals().filter(bool))
+    rest = draw(st.lists(small_rationals(), min_size=N - 2, max_size=N - 2))
+    return poly1({1: 1, 2: a, **{d + 3: c for d, c in enumerate(rest)}}, N)
+
+
+@settings(max_examples=30, deadline=None)
+@given(quadratic_led_maps())
+def test_p1_split_matches_the_probe_solve_on_s(g):
+    parts = dim1._p1_split(g)
+    assert parts == _p1_split_reference(g)
+    assert recompose(parts) == g
+
+
+def test_p1_split_inverts_as_often_at_every_degree():
+    # the probe solves for s^-1, so the number of probes does not show
+    g6, g10 = (poly1({1: 1, 2: 1, 3: 3, 5: 1}, N) for N in (6, 10))
+
+    def inversions(split, g):
+        return _counted("map_invert", split, g)[1]
+
+    assert inversions(dim1._p1_split, g6) == inversions(dim1._p1_split, g10)
+    assert inversions(_p1_split_reference, g6) < inversions(_p1_split_reference, g10)
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 8])
+@pytest.mark.parametrize("a", [1, 2, Fraction(-1, 3)])
+@pytest.mark.parametrize("retry", [False, True], ids=["delta-zero", "s-retry"])
+def test_p2_split_degenerate_conic_branches(a, N, retry):
+    # g4 = 0 makes the quadratic dress the identity, so delta = g5 - 3/2 a^2:
+    # delta = 0 takes x = 2a; delta = -a zeroes a s^2 + delta at s = 1, and
+    # s = 2 gives x = -a/3
+    a = scalar(a)
+    g5 = 3 * a * a / 2 - (a if retry else ZERO)
+    g = poly1({1: 1, 3: a, 5: g5, 6: Fraction(1, 5)}, N)
+    parts = dim1._p2_split(g)
+    assert coeff(parts[0][0], 3) == (-a / 3 if retry else 2 * a)
+    assert recompose(parts) == g
+    assert all(verify_witness(m, w) for m, w in parts)
+
+
 @st.composite
 def unit_multiplier_maps(draw):
     """One-variable maps with multiplier +-1, N <= 8; tangent ones often
@@ -384,21 +454,26 @@ def _splits(g):
     return split_reversibles(g), inv
 
 
-def _compositions(g):
-    """The splits of g and the number of map_compose calls they made."""
+def _counted(name, run, g):
+    """run(g) and the number of calls it made to maps.<name>."""
     calls = [0]
-    original = maps.map_compose
+    original = getattr(maps, name)
 
-    def counted(F, G):
+    def counted(*args):
         calls[0] += 1
-        return original(F, G)
+        return original(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name, module in list(sys.modules.items()):
-            if name.startswith("revfactor") and getattr(module, "map_compose", None) is original:
-                mp.setattr(module, "map_compose", counted)
-        out = _splits(g)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("revfactor") and getattr(module, name, None) is original:
+                mp.setattr(module, name, counted)
+        out = run(g)
     return out, calls[0]
+
+
+def _compositions(g):
+    """The splits of g and the number of map_compose calls they made."""
+    return _counted("map_compose", _splits, g)
 
 
 @settings(max_examples=30, deadline=None)

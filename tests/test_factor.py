@@ -43,6 +43,7 @@ from revfactor.factor import (
     certificate,
     certificate_factorization,
     factor_budget,
+    factor_dim1_involutions,
     factor_dim1_reversibles,
     factor_involutions,
     factor_reversibles,
@@ -570,6 +571,47 @@ def test_factor_dim1_quartic_led_map_shifts():
     fz = factor_dim1_reversibles(g)
     assert len(fz.factors) == 2 <= factor_budget(1, "reversible", False)
     assert verify_factorization(fz).ok
+
+
+@pytest.mark.parametrize(
+    "coeffs, count",
+    [({1: 1, 2: 1, 3: 1}, 2), ({1: 1, 4: 2}, 4)],
+    ids=["homography-class", "quartic-led"],
+)
+def test_factor_dim1_involutions_splits(coeffs, count):
+    fz = factor_dim1_involutions(dim1.poly1(coeffs, 6))
+    assert len(fz.factors) == count
+    assert fz.trace == ("one-variable involution split",)
+    assert verify_factorization(fz).ok
+
+
+def test_factor_dim1_involutions_keeps_an_involution_whole():
+    g = dim1.flip(6)
+    fz = factor_dim1_involutions(g)
+    assert [f.map for f in fz.factors] == [g]
+    assert fz.trace == ("already an involution",)
+    assert verify_factorization(fz).ok
+
+
+def test_factor_dim1_involutions_refuses_multiplier_minus_one():
+    # -t + t^2 squares to t - 2t^3 + t^4, so it is no involution either
+    with pytest.raises(FactorObstruction):
+        factor_dim1_involutions(dim1.poly1({1: -1, 2: 1}, 6))
+
+
+@pytest.mark.parametrize("factor", [factor_reversibles, factor_involutions])
+@pytest.mark.parametrize(
+    "entries, trace",
+    [([1, 1], ()), ([1, 1, 1], ()), ([-1, 1], ("flip prefix absorbs determinant -1",))],
+    ids=["n2-identity", "n3-identity", "n2-flip"],
+)
+def test_nothing_left_to_factor(entries, trace, factor):
+    # the identity has no factors, and a linear flip only the flip prefix
+    F = _diag_map(entries, 5)
+    fz = factor(F)
+    assert [f.map for f in fz.factors] == ([F] if trace else [])
+    assert fz.trace == trace
+    assert verify_certificate(certificate(fz)).ok
 
 
 # ---------------------------------------------------------------------------

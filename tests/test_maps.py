@@ -1,5 +1,7 @@
 """Tests for the formal-map group operations and exact matrices."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from revfactor.maps import (
     Matrix,
     apply_linear,
     conjugate,
+    dress,
     element_order,
     format_map,
     is_involution,
@@ -194,3 +197,39 @@ def test_apply_linear_matches_compose(F):
     assert apply_linear(M, F) == map_compose(
         FormalMap.from_linear(M, F.trunc), F
     )
+
+
+@st.composite
+def maps_in_one_ring(draw):
+    """One to three rational maps and an invertible K, all in one ring
+    (1-3 variables, N <= 6); each map draws its own number of terms."""
+    n, N = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    monomials = [e for e in product(range(N + 1), repeat=n) if 1 <= sum(e) <= N]
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+    def rational_map(terms):
+        return [
+            draw(st.dictionaries(st.sampled_from(monomials), value, max_size=terms))
+            for _ in range(n)
+        ]
+
+    sizes = draw(st.lists(st.sampled_from([0, 1, 3, 12]), min_size=1, max_size=3))
+    Fs = [FormalMap([Series(n, N, c) for c in rational_map(size)]) for size in sizes]
+    # K's linear part is upper triangular with a nonzero diagonal
+    comps = rational_map(draw(st.sampled_from([1, 3, 12])))
+    for i, c in enumerate(comps):
+        for j in range(n):
+            unit = tuple(int(k == j) for k in range(n))
+            if j < i:
+                c.pop(unit, None)
+            elif j == i:
+                c[unit] = draw(value.filter(bool))
+    return Fs, FormalMap([Series(n, N, c) for c in comps])
+
+
+@given(maps_in_one_ring())
+@settings(max_examples=40, deadline=None)
+def test_dress_matches_compose_then_invert(case):
+    Fs, K = case
+    Kinv = map_invert(K)
+    assert dress(Fs, K, Kinv) == [map_compose(map_compose(K, F), Kinv) for F in Fs]
