@@ -27,7 +27,7 @@ cubic-led map, which has a closed form.
 from __future__ import annotations
 
 from .maps import (
-    FormalMap, composite_part, conjugate, dress, is_involution, map_compose, map_invert,
+    FormalMap, composite_part, dress, is_involution, map_compose, map_invert,
 )
 from .normalform import Obstruction, Witness, verify_witness
 from .scalars import ONE, ZERO, Scalar, rat, reverser_seeds, scalar
@@ -328,7 +328,8 @@ def _p2_split(g: FormalMap):
     # for q = t + c t^2 the quartic coefficient of q^-1 o g o q is
     # g4 + a c, so c = -g4/a flattens it
     q = poly1({1: ONE, 2: -coeff(g, 4) / a}, N)
-    gt = conjugate(g, q)
+    qinv = map_invert(q)
+    gt = dress([g], qinv, q)[0]
     delta = coeff(gt, 5) - rat(3, 2) * a * a
     if delta.is_zero():
         x, y = 2 * a, ZERO
@@ -343,7 +344,7 @@ def _p2_split(g: FormalMap):
     wG = reverser_search(G, seeds=(I_UNIT, -I_UNIT))
     if wG is None:  # pragma: no cover - invariant bookkeeping guarantees it
         raise AssertionError("cofactor left the order-four class")
-    F, G, hF, hG = dress([F, G, wF.h, wG.h], q, map_invert(q))
+    F, G, hF, hG = dress([F, G, wF.h, wG.h], q, qinv)
     return [(F, Witness(wF.kind, hF, N)), (G, Witness(wG.kind, hG, N))]
 
 

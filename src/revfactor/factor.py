@@ -25,7 +25,6 @@ from .bounds import compute_bounds, compute_involution_bounds
 from .maps import (
     FormalMap,
     Matrix,
-    conjugate,
     conjugate_linear,
     dress,
     format_map,
@@ -110,6 +109,7 @@ class UnitSpec:
 @dataclass(frozen=True)
 class DressSpec:
     dress: FormalMap
+    inverse: FormalMap  # of dress; lift_section lifts both alike
     inner: object
 
 
@@ -149,7 +149,11 @@ def _lift_spec(spec, n: int):
     if isinstance(spec, UnitSpec):
         return UnitSpec(lift_section(spec.h, n))
     if isinstance(spec, DressSpec):
-        return DressSpec(lift_section(spec.dress, n), _lift_spec(spec.inner, n))
+        return DressSpec(
+            lift_section(spec.dress, n),
+            lift_section(spec.inverse, n),
+            _lift_spec(spec.inner, n),
+        )
     raise TypeError(f"unknown witness spec {spec!r}")
 
 
@@ -162,7 +166,7 @@ def _materialize_spec(spec, m: FormalMap) -> FormalMap:
         return spec.h
     if isinstance(spec, DressSpec):
         # _dress_pieces leaves SELF undressed, so the inner spec is not SELF
-        return dress([_materialize_spec(spec.inner, m)], spec.dress, map_invert(spec.dress))[0]
+        return dress([_materialize_spec(spec.inner, m)], spec.dress, spec.inverse)[0]
     raise TypeError(f"unknown witness spec {spec!r}")
 
 
@@ -229,9 +233,11 @@ def _respec(spec, m: FormalMap, n: int):
             )
         return PermSpec(tau)
     if isinstance(spec, DressSpec):
-        inner_m = conjugate(m, spec.dress)
+        inner_m = dress([m], spec.inverse, spec.dress)[0]
         return DressSpec(
-            lift_section(spec.dress, n), _respec(spec.inner, inner_m, n)
+            lift_section(spec.dress, n),
+            lift_section(spec.inverse, n),
+            _respec(spec.inner, inner_m, n),
         )
     raise FactorObstruction("witness spec cannot pass through an odd parent")
 
@@ -248,9 +254,10 @@ def _lift_piece(piece, n: int):
 def _dress_pieces(pieces, K: FormalMap) -> list:
     """Each piece conjugated to K o m o K^-1, with one inverse of K.  A
     conjugated involution is still its own witness, so SELF stays."""
-    dressed = dress([m for m, _, _ in pieces], K, map_invert(K))
+    Kinv = map_invert(K)
+    dressed = dress([m for m, _, _ in pieces], K, Kinv)
     return [
-        (m, spec if spec is SELF else DressSpec(K, spec), kind)
+        (m, spec if spec is SELF else DressSpec(K, Kinv, spec), kind)
         for m, (_, spec, kind) in zip(dressed, pieces)
     ]
 
@@ -925,27 +932,26 @@ def verify_factorization(fz: Factorization) -> FactorReport:
     checks = []
     n = fz.target.nvars
     det = fz.target.linear_part().det()
-    checks.append(
-        (
-            "recomposition",
-            fz.recompose() == fz.target,
-            "product of factors equals the target exactly",
-        )
-    )
+    k = len(fz.factors)
+    prod = FormalMap.identity(n, fz.target.trunc)
     for i, f in enumerate(fz.factors, start=1):
-        # one square serves the involution check and the witness check
-        square = map_compose(f.map, f.map) if fz.mode == "involutive" else None
+        # one substitution table for f serves every composition with f
+        # inside: the recomposition step, the square and (f o h) o f; one
+        # square serves the involution check and the witness check
+        memo: dict = {}
+        prod = map_compose(prod, f.map, memo)
+        square = map_compose(f.map, f.map, memo) if fz.mode == "involutive" else None
         checks.append(
             (
-                f"witness {i}/{len(fz.factors)}",
-                verify_witness(f.map, f.witness, square),
+                f"witness {i}/{k}",
+                verify_witness(f.map, f.witness, square, memo),
                 f"kind {f.kind}, witness {f.witness.kind}",
             )
         )
         fd = f.map.linear_part().det()
         checks.append(
             (
-                f"determinant {i}/{len(fz.factors)}",
+                f"determinant {i}/{k}",
                 fd == ONE or fd == -ONE,
                 "factor determinant is +-1",
             )
@@ -953,11 +959,19 @@ def verify_factorization(fz: Factorization) -> FactorReport:
         if fz.mode == "involutive":
             checks.append(
                 (
-                    f"involution {i}/{len(fz.factors)}",
+                    f"involution {i}/{k}",
                     square.is_identity(),
                     "factor squares to the identity",
                 )
             )
+    checks.insert(
+        0,
+        (
+            "recomposition",
+            prod == fz.target,
+            "product of factors equals the target exactly",
+        ),
+    )
     budget = factor_budget(n, fz.mode, det == -ONE)
     checks.append(
         (

@@ -277,12 +277,17 @@ class FormalMap:
         return self.linear_part().is_identity()
 
 
-def map_compose(F: FormalMap, G: FormalMap) -> FormalMap:
+def map_compose(F: FormalMap, G: FormalMap, memo=None) -> FormalMap:
     """The composite F after G, sharing the substitution cache across
-    components."""
+    components.
+
+    ``memo`` is G's substitution table (see ``series.compose``): pass one
+    dict to several compositions with the inner map G to build it once.
+    """
     if F.nvars != G.nvars or F.trunc != G.trunc:
         raise TruncationMismatch("composition needs matching n and N")
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     return FormalMap.__new_raw__(
         F.nvars,
         F.trunc,
@@ -376,16 +381,6 @@ def conjugate_linear(F: FormalMap, M: Matrix) -> FormalMap:
 
 def is_involution(F: FormalMap) -> bool:
     return map_compose(F, F).is_identity()
-
-
-def element_order(F: FormalMap, max_order: int):
-    """Order of F in the truncated group, or None if it exceeds max_order."""
-    P = F
-    for d in range(1, max_order + 1):
-        if P.is_identity():
-            return d
-        P = map_compose(P, F)
-    return None
 
 
 # ---------------------------------------------------------------------------

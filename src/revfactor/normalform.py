@@ -79,24 +79,30 @@ class Witness:
         return cls(payload["kind"], parse_map(payload["h"]), int(payload["degree"]))
 
 
-def verify_witness(g: FormalMap, w: Witness, square: FormalMap | None = None) -> bool:
+def verify_witness(
+    g: FormalMap, w: Witness, square: FormalMap | None = None, memo=None
+) -> bool:
     """Recheck a witness by composition alone (no shared search code).
 
     A reverser is checked as g o h o g = h, which for a nonsingular h is
     h^{-1} g h = g^{-1} and needs no inverse; a singular h is refused,
     since the zero map would satisfy the equation for every g.
-    ``square`` is g o g when the caller already has it.
+    ``square`` is g o g when the caller already has it, and ``memo`` is
+    g's substitution table (see ``map_compose``) when the caller shares
+    one: it serves (g o h) o g.  h's own table is built once and serves
+    g o h and h o h.
     """
     if w.kind == "involution_self":
         if square is None:
-            square = map_compose(g, g)
+            square = map_compose(g, g, memo)
         return w.h == g and square.is_identity()
     h = w.h
     if h.linear_part().det().is_zero():
         return False
-    ok = map_compose(map_compose(g, h), g) == h
+    h_memo: dict = {}
+    ok = map_compose(map_compose(g, h, h_memo), g, memo) == h
     if w.kind == "involutive_reverser":
-        ok = ok and map_compose(h, h).is_identity()
+        ok = ok and map_compose(h, h, h_memo).is_identity()
     return ok
 
 

@@ -31,6 +31,11 @@ multiply-adds only, with no gcd, lcm or Scalar, and each output
 coefficient is reduced once.  The normal form of a Scalar is unique, so
 results do not depend on where the reduction happens.
 
+A memo is the substitution table of one inner map: it records the args
+it was built for, serves every outer series of one ring composed with
+them (``maps.map_compose`` takes it too, and the verifier shares one per
+factor), and refuses other args with ValueError.
+
 The text format of series and maps lives here too: ``format_series``,
 ``parse_series``, and the one lexer and reader behind ``maps.parse_map``.
 """
@@ -446,7 +451,10 @@ def compose(f: Series, args, memo=None) -> Series:
         Cache of monomial values keyed by the packed monomial of f's ring;
         pass the same dict across several compositions with identical
         args and outer series of one ring to share the work (map
-        composition does this per component).
+        composition does this per component, and a caller may share one
+        memo across several map compositions with one inner map).  A
+        memo records the args it was built for; reusing it with args
+        that differ from them raises ValueError.
 
     Returns
     -------
@@ -473,11 +481,14 @@ def compose(f: Series, args, memo=None) -> Series:
     if memo is None:
         memo = {}
     # the args' rows share the memo's lifetime; None is no monomial key
+    args = tuple(args)
     prepared = memo.get(None)
     if prepared is None:
         D = lcm(*[_den(g._terms) for g in args])
-        prepared = memo[None] = (D, [_numerators(g._terms, D) for g in args])
-    D, rows = prepared
+        prepared = memo[None] = (args, D, [_numerators(g._terms, D) for g in args])
+    elif prepared[0] != args:
+        raise ValueError("memo was built for other substitution series")
+    _, D, rows = prepared
     unit, place, _ = _ring(k, N)
     limit = _ring(n, N)[2]
 

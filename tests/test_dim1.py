@@ -25,7 +25,6 @@ from revfactor.dim1 import (
 from revfactor.maps import (
     FormalMap,
     conjugate,
-    element_order,
     is_involution,
     map_compose,
     map_invert,
@@ -110,7 +109,9 @@ def test_quadratic_led_split_carries_invariant():
     for m, w in parts:
         assert verify_witness(m, w)
     # the second witness has a multiplier of order four
-    assert element_order(parts[1][1].h, 4) == 4
+    h = parts[1][1].h
+    square = map_compose(h, h)
+    assert not square.is_identity() and map_compose(square, square).is_identity()
 
 
 def test_cubic_led_split_needs_two_order_four_factors():
@@ -351,15 +352,16 @@ def cubic_led_maps(draw):
 @settings(max_examples=30, deadline=None)
 @given(cubic_led_maps())
 def test_quartic_flattening_matches_the_probe_solve(g):
-    # the first conjugation _p2_split makes is g by its quadratic dress
+    # the first dressing _p2_split makes conjugates g by its quadratic
+    # dress q, as q^-1 o g o q
     dresses = []
 
-    def recording(F, K):
-        dresses.append(K)
-        return conjugate(F, K)
+    def recording(Fs, K, Kinv):
+        dresses.append(Kinv)
+        return maps.dress(Fs, K, Kinv)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dim1, "conjugate", recording)
+        mp.setattr(dim1, "dress", recording)
         parts = dim1._p2_split(g)
     assert recompose(parts) == g
     q = dresses[0]

@@ -631,6 +631,37 @@ def test_verify_catches_a_broken_factor():
     assert "certificate BAD" in report.as_text()
 
 
+def _failing(report):
+    return [name for name, ok, _ in report.checks if not ok]
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_a_tampered_factor_fails_only_the_recomposition(i):
+    # g^-1 has the reverser of g (h^-1 g^-1 h = g), so inverting one
+    # factor keeps every witness, and only the product can notice; a
+    # substitution table carried from one factor to the next would not
+    cert = certificate(factor_reversibles(parse_map(INSTANCES[0][1])))
+    assert len(cert["factors"]) == 3
+    entry = cert["factors"][i - 1]
+    g = parse_map(entry["map"])
+    assert map_invert(g) != g
+    entry["map"] = format_map(map_invert(g))
+    cert["digest"] = _digest(cert)
+    assert _failing(verify_certificate(cert)) == ["recomposition"]
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_a_tampered_witness_fails_only_its_own_check(i):
+    # factor i gets the witness of the next factor, which reverses that
+    # factor but not factor i
+    cert = certificate(factor_reversibles(parse_map(INSTANCES[0][1])))
+    factors = cert["factors"]
+    assert len(factors) == 3
+    factors[i - 1]["witness"] = dict(factors[i % 3]["witness"])
+    cert["digest"] = _digest(cert)
+    assert _failing(verify_certificate(cert)) == [f"witness {i}/3"]
+
+
 def test_factor_budget_values():
     assert factor_budget(2, "reversible", False) == 4
     assert factor_budget(3, "reversible", False) == 7

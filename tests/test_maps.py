@@ -13,14 +13,13 @@ from revfactor.maps import (
     apply_linear,
     conjugate,
     dress,
-    element_order,
     format_map,
     is_involution,
     map_compose,
     map_invert,
     parse_map,
 )
-from revfactor.series import Series, SeriesFormatError, TruncationMismatch
+from revfactor.series import Series, SeriesFormatError, TruncationMismatch, compose
 
 
 def lin1(coeffs, trunc=4):
@@ -28,6 +27,16 @@ def lin1(coeffs, trunc=4):
 
 
 J4 = FormalMap.permutation([1, 0, 3, 2], 4)
+
+
+def order(F, max_order):
+    """Order of F in the truncated group, or None if it exceeds max_order."""
+    P = F
+    for d in range(1, max_order + 1):
+        if P.is_identity():
+            return d
+        P = map_compose(P, F)
+    return None
 
 
 # -- matrices ----------------------------------------------------------
@@ -99,13 +108,13 @@ def test_conjugate_scaling_frozen_example():
 
 def test_involutions_and_orders():
     assert is_involution(J4)
-    assert element_order(J4, 5) == 2
+    assert order(J4, 5) == 2
     rot = FormalMap.diagonal([I], 6)
-    assert element_order(rot, 6) == 4
+    assert order(rot, 6) == 4
     theta = lin1({k: (-1) ** k for k in range(1, 7)}, trunc=6)  # -z/(1+z)
     assert is_involution(theta)
-    assert element_order(lin1({1: 1, 2: 1}), 8) is None
-    assert element_order(FormalMap.identity(2, 4), 3) == 1
+    assert order(lin1({1: 1, 2: 1}), 8) is None
+    assert order(FormalMap.identity(2, 4), 3) == 1
 
 
 def test_conjugation_preserves_order():
@@ -113,7 +122,7 @@ def test_conjugation_preserves_order():
     K = FormalMap(
         [Series(2, 5, {(1, 0): 1, (1, 1): 1}), Series(2, 5, {(0, 1): 1})]
     )
-    assert element_order(conjugate(rot, K), 8) == element_order(rot, 8)
+    assert order(conjugate(rot, K), 8) == order(rot, 8)
 
 
 def test_homogeneous_parts_reconstitute():
@@ -200,8 +209,8 @@ def test_apply_linear_matches_compose(F):
 
 
 @st.composite
-def maps_in_one_ring(draw):
-    """One to three rational maps and an invertible K, all in one ring
+def maps_in_one_ring(draw, most=3):
+    """One to ``most`` rational maps and an invertible K, all in one ring
     (1-3 variables, N <= 6); each map draws its own number of terms."""
     n, N = draw(st.integers(1, 3)), draw(st.integers(1, 6))
     monomials = [e for e in product(range(N + 1), repeat=n) if 1 <= sum(e) <= N]
@@ -213,7 +222,7 @@ def maps_in_one_ring(draw):
             for _ in range(n)
         ]
 
-    sizes = draw(st.lists(st.sampled_from([0, 1, 3, 12]), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 3, 12]), min_size=1, max_size=most))
     Fs = [FormalMap([Series(n, N, c) for c in rational_map(size)]) for size in sizes]
     # K's linear part is upper triangular with a nonzero diagonal
     comps = rational_map(draw(st.sampled_from([1, 3, 12])))
@@ -233,3 +242,26 @@ def test_dress_matches_compose_then_invert(case):
     Fs, K = case
     Kinv = map_invert(K)
     assert dress(Fs, K, Kinv) == [map_compose(map_compose(K, F), Kinv) for F in Fs]
+
+
+@given(maps_in_one_ring(most=4))
+@settings(max_examples=40, deadline=None)
+def test_one_table_serves_every_outer_map(case):
+    Fs, G = case
+    memo: dict = {}
+    assert [map_compose(F, G, memo) for F in Fs] == [map_compose(F, G) for F in Fs]
+
+
+def test_a_table_refuses_another_inner_map():
+    F = FormalMap([Series(2, 4, {(1, 0): 1, (1, 1): 2}), Series(2, 4, {(0, 1): 1})])
+    G = FormalMap([Series(2, 4, {(1, 0): 1, (0, 2): 3}), Series(2, 4, {(0, 1): -1})])
+    memo: dict = {}
+    first = map_compose(F, G, memo)
+    # an equal copy of G is the same inner map
+    assert map_compose(F, parse_map(format_map(G)), memo) == first
+    for other in (F, map_compose(G, G)):
+        with pytest.raises(ValueError, match="other substitution series"):
+            map_compose(F, other, memo)
+    with pytest.raises(ValueError, match="other substitution series"):
+        compose(F.comps[0], F.comps, memo)
+
