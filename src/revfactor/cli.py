@@ -57,7 +57,7 @@ from .scalars import (
     parse_scalar,
 )
 from .series import TruncationMismatch
-from .structure import ShapeError, centralizer_membership, kernel_embed, split_centralizer
+from .structure import ShapeError, kernel_embed, split_centralizer
 
 DEFAULT_TRUNCATION = 6
 
@@ -162,17 +162,10 @@ def _cmd_normalize(args):
 
 def _cmd_split(args):
     F = _load_map(args.map, args.truncation)
-    membership = centralizer_membership(F)
-    if not membership:
-        print(
-            "not a paired-centralizer element: " + membership.reason,
-            file=sys.stderr,
-        )
-        return OBSTRUCTION
     try:
         chi, phi = split_centralizer(F)
     except ShapeError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"not a paired-centralizer element: {exc}", file=sys.stderr)
         return OBSTRUCTION
     print(format_map(chi))
     if args.kernel:

@@ -35,10 +35,11 @@ from .maps import (
 )
 from .normalform import Obstruction, Witness, poincare_dulac, verify_witness
 from .scalars import ONE, Scalar, TextFormatError, rat, scalar
-from .series import Series
 from .structure import (
     PairedDiagonal,
     ShapeError,
+    _half_weights,
+    _weighted_canonical,
     centralizer_membership,
     extract_unit_shape,
     fresh_prime_diagonal,
@@ -284,37 +285,6 @@ def _kind_for_witness(w: Witness) -> str:
     if (lam * lam) == scalar(-1):
         return "order4-reversible"
     return "reversible"
-
-
-# ---------------------------------------------------------------------------
-# weighted visibility: what survives the nested lifts
-
-def _half_weights(w: tuple) -> tuple:
-    k = len(w)
-    out = [w[2 * i] + w[2 * i + 1] for i in range(k // 2)]
-    if k % 2:
-        out.append(w[-1])
-    return tuple(out)
-
-
-def _weighted_canonical(F: FormalMap, weights, odd_last: bool) -> FormalMap:
-    """Drop monomials that cannot survive the chain of lifts back to the
-    ambient dimension.  weights[i] is the ambient degree that base
-    variable i stands for; a unit-slot monomial q survives when
-    w . q <= N - 1 + w_j, the trailing slot of an odd parent when
-    w . q <= N.  Deeper windows are tighter than shallow ones, so this
-    single check matches the nested truncations exactly."""
-    N, k = F.trunc, F.nvars
-    comps = []
-    for j, s in enumerate(F.comps):
-        budget = N if (odd_last and j == k - 1) else N - 1 + weights[j]
-        kept = {
-            e: v
-            for e, v in s.coeffs.items()
-            if sum(w * q for w, q in zip(weights, e)) <= budget
-        }
-        comps.append(Series(k, N, kept))
-    return FormalMap(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,8 +1058,13 @@ def certificate_factorization(cert: dict) -> Factorization:
         for k, item in enumerate(cert["factors"], 1):
             where, text = f"factor {k} map", item["map"]
             g = parse_map(text)
-            where, text = f"factor {k} witness", item["witness"]["h"]
-            factors.append(Factor(g, Witness.from_json(item["witness"]), item["kind"]))
+            w = item["witness"]
+            where, text = f"factor {k} witness", w["h"]
+            # an involution is its own witness: the same text is the same map
+            h = g if text == item["map"] else parse_map(text)
+            factors.append(
+                Factor(g, Witness(w["kind"], h, w["degree"]), item["kind"])
+            )
     except TextFormatError as exc:
         line, col = exc.line_col(text)
         raise CertificateError(f"{where}:{line}:{col}: {exc}") from None

@@ -273,9 +273,6 @@ class FormalMap:
         self.comps = comps
         return self
 
-    def is_tangent_to_identity(self) -> bool:
-        return self.linear_part().is_identity()
-
 
 def map_compose(F: FormalMap, G: FormalMap, memo=None) -> FormalMap:
     """The composite F after G, sharing the substitution cache across

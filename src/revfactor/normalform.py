@@ -25,7 +25,6 @@ from .maps import (
     composite_part,
     format_map,
     map_compose,
-    parse_map,
 )
 
 
@@ -73,10 +72,6 @@ class Witness:
             "h": format_map(self.h),
             "degree": self.checked_degree,
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Witness":
-        return cls(payload["kind"], parse_map(payload["h"]), int(payload["degree"]))
 
 
 def verify_witness(

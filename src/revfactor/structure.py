@@ -14,10 +14,14 @@ leftover last coordinate when n is odd; k = ceil(n/2).  The cast:
 * centralizer elements — maps commuting with every generic paired
   diagonal: component j is z_j times a unit series in the pair products
   (and z_n), with an "admissible" last component when n is odd.
+* the visibility rule: a base monomial survives the lifts to the ambient
+  when its weighted degree fits the budget; the projection, the split
+  and the factor pipeline's recursion all prune by it.
 * ``project_base`` / ``lift_section`` / ``kernel_embed`` /
   ``split_centralizer`` — the surjection onto the coordinate-units group
   in k variables, its homomorphic section, the kernel parametrization,
-  and the resulting unique splitting.
+  and the unique splitting, read off F's units.  A map outside the
+  centralizer raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, takewhile
 from math import gcd
+from operator import mul
 
 from .scalars import ONE, Scalar, root_of_unity_order, scalar
 from .series import Series, TruncationMismatch, compose
-from .maps import FormalMap, Matrix, map_compose, map_invert
+from .maps import FormalMap, Matrix
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +449,53 @@ def extract_unit_shape(chi: FormalMap, hat: bool):
 
 
 # ---------------------------------------------------------------------------
+# visibility: which base monomials survive the lifts to the ambient
+
+
+def _prune(s: Series, weights, budget: int) -> Series:
+    """The monomials of s whose weighted degree weights . e fits the budget."""
+    kept = {e: v for e, v in s.coeffs.items() if sum(map(mul, weights, e)) <= budget}
+    return Series(s.nvars, s.trunc, kept)
+
+
+def _half_weights(w: tuple) -> tuple:
+    """Weights one pairing down: base variable i stands for the ambient
+    degree of its pair, w_{2i} + w_{2i+1}, and the trailing variable of an
+    odd parent keeps its own."""
+    k = len(w)
+    out = [w[2 * i] + w[2 * i + 1] for i in range(k // 2)]
+    if k % 2:
+        out.append(w[-1])
+    return tuple(out)
+
+
+def _weighted_canonical(F: FormalMap, weights, odd_last: bool) -> FormalMap:
+    """Drop monomials that cannot survive the chain of lifts back to the
+    ambient dimension.  weights[i] is the ambient degree that base
+    variable i stands for; a unit-slot monomial q survives when
+    w . q <= N - 1 + w_j, the trailing slot of an odd parent when
+    w . q <= N.  Deeper windows are tighter than shallow ones, so this
+    single check matches the nested truncations exactly."""
+    N, k = F.trunc, F.nvars
+    return FormalMap([
+        _prune(s, weights, N if (odd_last and j == k - 1) else N - 1 + weights[j])
+        for j, s in enumerate(F.comps)
+    ])
+
+
+# ---------------------------------------------------------------------------
 # the exact sequence: kernel embedding, projection, section
 
 
-def _weighted_prune(s: Series, odd: bool, budget: int) -> Series:
-    """Drop monomials invisible through the pairing.
-
-    Base variables substitute to degree-2 pair products, except the last
-    one (odd ambient), which stays degree 1; a monomial survives when its
-    weighted degree fits the budget.
-    """
-    out = {}
-    for e, v in s.coeffs.items():
-        w = 2 * sum(e) - (e[-1] if odd else 0)
-        if w <= budget:
-            out[e] = v
-    return Series(s.nvars, s.trunc, out)
+def _base_map(units, psi, n: int, N: int) -> FormalMap:
+    # a unit multiplies z_j, so only its monomials of weighted degree
+    # N - 1 or less survive in the ambient
+    weights = _half_weights((1,) * n)
+    lams = [
+        _prune(units[2 * i] * units[2 * i + 1], weights, N - 1)
+        for i in range(n // 2)
+    ]
+    return make_unit_shape(tuple(lams), psi)
 
 
 def project_base(F: FormalMap) -> FormalMap:
@@ -471,13 +507,8 @@ def project_base(F: FormalMap) -> FormalMap:
     semiconjugacy (projection o F) = (result o projection).  The result
     is canonical: monomials invisible through the pairing are pruned.
     """
-    phi, psi = extract_centralizer(F)
-    odd = bool(F.nvars % 2)
-    lams = [
-        _weighted_prune(phi[2 * i] * phi[2 * i + 1], odd, F.trunc - 1)
-        for i in range(len(phi) // 2)
-    ]
-    return make_unit_shape(tuple(lams), psi)
+    units, psi = extract_centralizer(F)
+    return _base_map(units, psi, F.nvars, F.trunc)
 
 
 def lift_section(chi: FormalMap, n: int) -> FormalMap:
@@ -527,20 +558,17 @@ def kernel_embed(phi, n: int) -> FormalMap:
 def split_centralizer(F: FormalMap):
     """Unique factorization F = lift_section(chi) o kernel_embed(phi).
 
-    Returns (chi, phi).  chi is project_base(F); phi is read off the
-    kernel remainder.  Reconstruction is verified exactly; failure means
-    F was not a centralizer element and raises ShapeError.
+    Returns (chi, phi): chi is project_base(F), and phi_i is the visible
+    part of the reciprocal of F's unit in slot 2i+1.  lift_section fixes
+    every odd slot, so that slot of F is the kernel's z / phi_i.  Raises
+    ShapeError, from extract_centralizer, when F is not a centralizer
+    element.
     """
-    n = F.nvars
-    chi = project_base(F)
-    H = lift_section(chi, n)
-    K = map_compose(map_invert(H), F)
-    units, _ = extract_centralizer(K)
-    m = len(units) // 2
-    phi = tuple(units[2 * i] for i in range(m))
-    # the remainder must be exactly the embedded tuple (pair partners are
-    # reciprocals, last coordinate fixed); H o K == F then holds by
-    # construction of K
-    if kernel_embed(phi, n) != K:
-        raise ShapeError("remainder is not a kernel element")
-    return chi, phi
+    n, N = F.nvars, F.trunc
+    units, psi = extract_centralizer(F)
+    weights = _half_weights((1,) * n)
+    phi = tuple(
+        _prune(units[2 * i + 1].invert_unit(), weights, N - 1)
+        for i in range(n // 2)
+    )
+    return _base_map(units, psi, n, N), phi

@@ -8,7 +8,7 @@ import pytest
 from revfactor.bounds import compute_bounds, compute_involution_bounds, table_text
 from revfactor.cli import main
 from revfactor.factor import _digest
-from revfactor.maps import FormalMap, conjugate, map_compose, parse_map
+from revfactor.maps import FormalMap, conjugate, format_map, map_compose, parse_map
 from revfactor.series import Series
 from revfactor.structure import lift_section, make_centralizer
 
@@ -68,7 +68,7 @@ def test_normalize_prints_form_and_saves_conjugator(tmp_path, capsys, fmap):
     G = parse_map(capsys.readouterr().out)
     K = parse_map(kpath.read_text())
     assert conjugate(parse_map(F_TEXT), K) == G
-    assert K.is_tangent_to_identity()
+    assert K.linear_part().is_identity()
 
 
 def test_split_roundtrip_and_obstruction(tmp_path, capsys):
@@ -83,8 +83,6 @@ def test_split_roundtrip_and_obstruction(tmp_path, capsys):
             u({(0, 0): 1, (1, 0): -1}),
         )
     )
-    from revfactor.maps import format_map
-
     mpath = tmp_path / "member.map"
     mpath.write_text(format_map(member) + "\n")
     kpath = tmp_path / "kernel.map"
@@ -317,6 +315,32 @@ def test_verify_rejects_a_zero_witness(tmp_path, capsys, fmap):
     assert main(["verify", str(cert)]) == 1
     out = capsys.readouterr().out
     assert "FAIL  witness 1/1" in out
+    assert "certificate BAD" in out
+
+
+def test_verify_rejects_an_involution_witness_one_coefficient_off(tmp_path, capsys, fmap):
+    # the reader shares one parsed map between an involution and a witness
+    # with the same text; a witness text that differs is read on its own
+    cert = tmp_path / "c.json"
+    assert main(["factor", str(fmap), "--mode", "involutive", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cert.read_text())
+    factors = payload["factors"]
+    k, entry = next(
+        (k, f)
+        for k, f in enumerate(factors, 1)
+        if f["witness"]["kind"] == "involution_self"
+    )
+    assert entry["witness"]["h"] == entry["map"]
+    h = parse_map(entry["map"])
+    e = max(h.comps[0].coeffs)
+    comps = list(h.comps)
+    comps[0] = comps[0] + Series(h.nvars, h.trunc, {e: 1})
+    entry["witness"]["h"] = format_map(FormalMap(comps))
+    cert.write_text(_redigest(payload))
+    assert main(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL  witness {k}/{len(factors)}" in out
     assert "certificate BAD" in out
 
 

@@ -1,5 +1,6 @@
 """Tests for the formal-map group operations and exact matrices."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -209,10 +210,11 @@ def test_apply_linear_matches_compose(F):
 
 
 @st.composite
-def maps_in_one_ring(draw, most=3):
+def maps_in_one_ring(draw, most=3, fewest_vars=1):
     """One to ``most`` rational maps and an invertible K, all in one ring
-    (1-3 variables, N <= 6); each map draws its own number of terms."""
-    n, N = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    (fewest_vars-3 variables, N <= 6); each map draws its own number of
+    terms."""
+    n, N = draw(st.integers(fewest_vars, 3)), draw(st.integers(1, 6))
     monomials = [e for e in product(range(N + 1), repeat=n) if 1 <= sum(e) <= N]
     value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
@@ -250,6 +252,58 @@ def test_one_table_serves_every_outer_map(case):
     Fs, G = case
     memo: dict = {}
     assert [map_compose(F, G, memo) for F in Fs] == [map_compose(F, G) for F in Fs]
+
+
+def _fractions(F):
+    return [{e: v.rational() for e, v in c.coeffs.items()} for c in F.comps]
+
+
+def _oracle_compose(F, G, N):
+    """F o G on lists of {exponent: Fraction} components, substituted term
+    by term; every product drops the monomials of degree above N."""
+
+    def mul(a, b):
+        out = {}
+        for e, x in a.items():
+            for f, y in b.items():
+                key = tuple(i + j for i, j in zip(e, f))
+                if sum(key) <= N:
+                    out[key] = out.get(key, 0) + x * y
+        return out
+
+    out = []
+    for comp in F:
+        acc = {}
+        for e, c in comp.items():
+            term = {(0,) * len(G): Fraction(1)}
+            for g, k in zip(G, e):
+                for _ in range(k):
+                    term = mul(term, g)
+            for key, v in term.items():
+                acc[key] = acc.get(key, 0) + c * v
+        out.append({key: v for key, v in acc.items() if v})
+    return out
+
+
+@given(maps_in_one_ring(most=2, fewest_vars=2))
+@settings(max_examples=40, deadline=None)
+def test_compose_and_invert_match_the_substitution_oracle(case):
+    Fs, K = case
+    n, N = K.nvars, K.trunc
+    maps = Fs + [K]
+    for A in maps:
+        for B in maps:
+            assert _fractions(map_compose(A, B)) == _oracle_compose(
+                _fractions(A), _fractions(B), N
+            )
+    # K o (z reversed) has a linear part that is not triangular
+    flipped = [{e[::-1]: v for e, v in c.items()} for c in _fractions(K)]
+    identity = [{tuple(int(i == j) for i in range(n)): 1} for j in range(n)]
+    for M in (_fractions(K), flipped):
+        # the inverse is unique, so composing to the identity both ways pins it
+        Minv = _fractions(map_invert(FormalMap([Series(n, N, c) for c in M])))
+        assert _oracle_compose(M, Minv, N) == identity
+        assert _oracle_compose(Minv, M, N) == identity
 
 
 def test_a_table_refuses_another_inner_map():

@@ -517,13 +517,38 @@ def _series_from(pairs, N=4):
     return Series(1, N, data)
 
 
-@given(units_strategy, units_strategy)
+@st.composite
+def centralizer_members(draw):
+    """A centralizer member for n = 2..5 at N = 3..7, with an admissible
+    last component when n is odd."""
+    n, N = draw(st.integers(2, 5)), draw(st.integers(3, 7))
+    m, k = half_counts(n)
+    width = k if n % 2 else m
+    monomials = [
+        e for e in itertools.product(range(N + 1), repeat=width) if 1 <= sum(e) <= N
+    ]
+    value = st.integers(min_value=-3, max_value=3)
+
+    def series(lead):
+        data = draw(st.dictionaries(st.sampled_from(monomials), value, max_size=3))
+        data[lead] = draw(value.filter(bool))
+        return Series(width, N, data)
+
+    phi = tuple(series((0,) * width) for _ in range(2 * m))
+    psi = series((0,) * (width - 1) + (1,)) if n % 2 else None
+    return make_centralizer(phi, psi)
+
+
+@given(centralizer_members())
 @settings(max_examples=40, deadline=None)
-def test_split_of_product_recombines(u1, u2):
-    phi = (_series_from(u1), _series_from(u2))
-    F = make_centralizer(phi)
-    chi, ker = split_centralizer(F)
-    assert map_compose(lift_section(chi, 2), kernel_embed(ker, 2)) == F
+def test_split_of_product_recombines(F):
+    n = F.nvars
+    chi, phi = split_centralizer(F)
+    H = lift_section(chi, n)
+    assert map_compose(H, kernel_embed(phi, n)) == F
+    # the reference readout: the even-slot units of the kernel remainder
+    units, _ = extract_centralizer(map_compose(map_invert(H), F))
+    assert phi == units[::2]
 
 
 @given(units_strategy)
