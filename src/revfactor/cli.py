@@ -151,7 +151,7 @@ def _cmd_conjugate(args):
 def _cmd_normalize(args):
     F = _load_map(args.map, args.truncation)
     try:
-        G, K = poincare_dulac(F)
+        G, K, _ = poincare_dulac(F)
     except ValueError as exc:
         raise CliError(INPUT_ERROR, str(exc)) from None
     print(format_map(G))
@@ -167,6 +167,9 @@ def _cmd_split(args):
     except ShapeError as exc:
         print(f"not a paired-centralizer element: {exc}", file=sys.stderr)
         return OBSTRUCTION
+    except ValueError as exc:
+        # a map in one variable has no pairing structure to split along
+        raise CliError(INPUT_ERROR, str(exc)) from None
     print(format_map(chi))
     if args.kernel:
         Path(args.kernel).write_text(

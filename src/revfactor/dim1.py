@@ -26,12 +26,10 @@ cubic-led map, which has a closed form.
 
 from __future__ import annotations
 
-from .maps import (
-    FormalMap, composite_part, dress, is_involution, map_compose, map_invert,
-)
+from .maps import FormalMap, dress, is_involution, map_compose, map_invert
 from .normalform import Obstruction, Witness, verify_witness
 from .scalars import ONE, ZERO, Scalar, rat, reverser_seeds, scalar
-from .series import Series
+from .series import DegreeTable, Series
 
 I_UNIT = Scalar(0, 1)
 
@@ -204,10 +202,12 @@ def conjugate_to(g: FormalMap, target: FormalMap, c=ONE):
     N = g.trunc
     c = scalar(c)
     gs, ts = _slices(g), _slices(target)
+    # one substitution table per slice of the target serves every probe
+    tables = [{} for _ in ts]
 
     def build(params, d):
         h = _dressing(c, params, d)
-        return map_compose(gs[d], h).comps[0] - map_compose(h, ts[d]).comps[0]
+        return map_compose(gs[d], h).comps[0] - map_compose(h, ts[d], tables[d]).comps[0]
 
     sol = _solve_degreewise(build, range(2, N + 1), N)
     if isinstance(sol, Obstruction):
@@ -243,18 +243,23 @@ def quarter_family(c, N: int) -> FormalMap:
     a_k + b_k + [t^k](A_<k o B_<k), so a_k = -1/2 [t^k](A_<k o B_<k)
     for k = 1 mod 4 (the quintic one comes out as 3/2 c^2).  For
     k = 3 mod 4, b_k = -a_k leaves the slot free: a_3 = c and the
-    others are 0, as are the even slots.  A is checked against the
-    defining equation before it is returned.
+    others are 0, as are the even slots.  B grows on one
+    ``DegreeTable``.  A is checked against the witness equation
+    A o h o A = h before it is returned.
     """
     c = scalar(c)
     data = {1: ONE, 3: c}
-    for k in range(5, N + 1, 4):
-        A = poly1(data, k)
-        B = poly1({d: -v if d % 4 == 3 else v for d, v in data.items()}, k)
-        data[k] = coeff(composite_part(A, B, k), k) / -2
+    B = DegreeTable(poly1({1: ONE}, N).comps)
+    for k in range(2, N + 1):
+        if k % 4 == 1:
+            A_high = Series(1, N, {(d,): v for d, v in data.items() if d > 1})
+            data[k] = B.part(A_high, k).coefficient((k,)) / -2
+        if k < N:
+            b = data.get(k, ZERO)
+            B.extend([Series(1, N, {(k,): -b if k % 4 == 3 else b})], k)
     A = poly1(data, N)
     h = quarter_turn(N)
-    if map_compose(A, h) != map_compose(h, map_invert(A)):  # pragma: no cover
+    if map_compose(map_compose(A, h), A) != h:  # pragma: no cover
         raise AssertionError("family equation failed")
     return A
 
@@ -282,6 +287,7 @@ def _p1_split(g: FormalMap):
     """Quadratic-led tangent map as (homography class) o (order-four class)."""
     N = g.trunc
     gs, fs = _slices(g), _slices(mobius(coeff(g, 2), N))
+    tables = [{} for _ in gs]
     unit = quarter_family(ONE, N)
 
     def family(c, d):
@@ -294,7 +300,10 @@ def _p1_split(g: FormalMap):
     # which needs no inverse per probe
     def build(params, d):
         u, A = _dressing(ONE, [ZERO] + params[1:], d), family(params[0], d)
-        return map_compose(u, gs[d]).comps[0] - map_compose(fs[d], map_compose(u, A)).comps[0]
+        return (
+            map_compose(u, gs[d], tables[d]).comps[0]
+            - map_compose(fs[d], map_compose(u, A)).comps[0]
+        )
 
     # params[0] is the family's cubic coefficient; the rest fill u from
     # degree 3 up

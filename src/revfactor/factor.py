@@ -252,10 +252,9 @@ def _lift_piece(piece, n: int):
     return lift_section(m, n), lspec, kind
 
 
-def _dress_pieces(pieces, K: FormalMap) -> list:
-    """Each piece conjugated to K o m o K^-1, with one inverse of K.  A
+def _dress_pieces(pieces, K: FormalMap, Kinv: FormalMap) -> list:
+    """Each piece conjugated to K o m o Kinv, Kinv the inverse of K.  A
     conjugated involution is still its own witness, so SELF stays."""
-    Kinv = map_invert(K)
     dressed = dress([m for m, _, _ in pieces], K, Kinv)
     return [
         (m, spec if spec is SELF else DressSpec(K, Kinv, spec), kind)
@@ -453,28 +452,29 @@ def _diagonalized(M: FormalMap):
 
 
 def _paired_normal_form(M: FormalMap, what: str, trace):
-    """The normal form M = K o G o K^-1 as (G, K), with G checked to lie
-    in the paired centralizer; ``what`` names G in the obstruction."""
-    G, K = poincare_dulac(M)
+    """The normal form M = K o G o K^-1 as (G, K, K^-1), with G checked to
+    lie in the paired centralizer; ``what`` names G in the obstruction."""
+    G, K, Kinv = poincare_dulac(M)
     back = centralizer_membership(G)
     if not back:
         raise FactorObstruction(
             f"{what} left the paired shape: " + back.reason, trace=trace
         )
-    return G, K
+    return G, K, Kinv
 
 
 def _rebalance(X: FormalMap, avoid, what: str, trace):
     """Make X's linear part generic with a fresh-prime paired diagonal D,
     diagonalize what stays triangular, and normalize:
-    D o X = K o G o K^-1.  Returns (G, K, D^-1 as a map)."""
+    D o X = K o G o K^-1.  Returns (G, K, K^-1, D^-1 as a map)."""
     N = X.trunc
     D = fresh_prime_diagonal(X.nvars, avoid=avoid)
     M, E = _diagonalized(map_compose(D.realize(N), X))
-    G, K = _paired_normal_form(M, what, trace)
+    G, K, Kinv = _paired_normal_form(M, what, trace)
     if E is not None:
         K = map_compose(FormalMap.from_linear(E, N), K)
-    return G, K, FormalMap.from_linear(D.matrix().inverse(), N)
+        Kinv = map_compose(Kinv, FormalMap.from_linear(E.inverse(), N))
+    return G, K, Kinv, FormalMap.from_linear(D.matrix().inverse(), N)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
         trace.append(f"paired member at width {k}: direct split")
     else:
         # a trailing-slot shear from resonant pair products is diagonalized
-        G, K, Dinv = _rebalance(X, (), f"normal form at width {k}", trace)
+        G, K, Kinv, Dinv = _rebalance(X, (), f"normal form at width {k}", trace)
         pre.append((Dinv, PermSpec(swap_perm(k)), "linear"))
         trace.append(f"fresh-prime rebalance and normalization at width {k}")
     chi, phi = split_centralizer(G)
@@ -539,7 +539,7 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
     if not Phi.is_identity():
         inner.append((Phi, PermSpec(swap_perm(k)), "reversible"))
     if K is not None:
-        inner = _dress_pieces(inner, K)
+        inner = _dress_pieces(inner, K, Kinv)
     return pre + inner
 
 
@@ -583,7 +583,7 @@ def reduce_to_centralizer(F: FormalMap):
     only the diagonal, after which the remaining triangular part has the
     distinct fresh-prime eigenvalues and diagonalizes exactly.
 
-    Returns (G, prefix_factors, C)."""
+    Returns (G, prefix_factors, C, C^-1)."""
     n, N = F.nvars, F.trunc
     if n < 3:
         raise ValueError("reduction needs at least three variables")
@@ -608,14 +608,15 @@ def reduce_to_centralizer(F: FormalMap):
     W, E = _diagonalized(W)
     # P o W o P^-1, whose linear part is T3^sigma, generic and paired
     F2 = dress([W], P, Pinv)[0]
-    G, K1 = _paired_normal_form(F2, "normal form after rebalancing", ())
-    C = map_compose(Pinv, K1)
+    G, K1, K1inv = _paired_normal_form(F2, "normal form after rebalancing", ())
+    C, Cinv = map_compose(Pinv, K1), map_compose(K1inv, P)
     if E is not None:
         C = map_compose(FormalMap.from_linear(E, N), C)
+        Cinv = map_compose(Cinv, FormalMap.from_linear(E.inverse(), N))
     for f in prefix:
         if not verify_witness(f.map, f.witness):  # pragma: no cover
             raise AssertionError("prefix witness failed")
-    return G, prefix, C
+    return G, prefix, C, Cinv
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +654,7 @@ def _s_machine(S: FormalMap, trace) -> list:
     L1 = Matrix.diagonal([scalar(2), scalar(rat(1, 2))])
     M1 = map_compose(FormalMap.from_linear(L1, N), conjugate_linear(S, T))
     # resonant terms are paired here, so the check cannot fail
-    N1, K1 = _paired_normal_form(M1, "balanced normal form", trace)
+    N1, K1, K1inv = _paired_normal_form(M1, "balanced normal form", trace)
     chi_i, phi_i = split_centralizer(N1)
     if not (
         dim1.coeff(chi_i, 2).is_zero() and dim1.coeff(chi_i, 3).is_zero()
@@ -676,7 +677,8 @@ def _s_machine(S: FormalMap, trace) -> list:
         T * Matrix.permutation((1, 0)) * T.inverse(), N
     )
     D = map_compose(Tm, K1)
-    out = [map_compose(X0, W0), W0] + dress(inner, D, map_invert(D))
+    Dinv = map_compose(K1inv, FormalMap.from_linear(T.inverse(), N))
+    out = [map_compose(X0, W0), W0] + dress(inner, D, Dinv)
     for I in out:
         if not is_involution(I):  # pragma: no cover
             raise AssertionError("balanced piece is not an involution")
@@ -723,24 +725,22 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     entries = L.diagonal_entries()
     mult = _paired_entries(entries)
     if mult is None:
-        G, prefix, C = reduce_to_centralizer(W)
+        G, prefix, C, Cinv = reduce_to_centralizer(W)
         trace.append("split the diagonal and rebalanced to a generic paired part")
-        return prefix + _dress_factors(
-            _ambient_factors(G, mode, trace), C, map_invert(C)
-        )
+        return prefix + _dress_factors(_ambient_factors(G, mode, trace), C, Cinv)
     pd = PairedDiagonal(mult, n)
     pre = []
-    K = None
+    K = Kinv = None
     if centralizer_membership(W):
         G = W
         trace.append("paired-centralizer member: direct split")
     elif pd.is_generic():
         # generic resonances are paired, so the check cannot fail
-        G, K = _paired_normal_form(W, "normal form", trace)
+        G, K, Kinv = _paired_normal_form(W, "normal form", trace)
         trace.append("generic paired linear part: normalization")
     else:
         # a leftover triangular part now has distinct eigenvalues
-        G, K, Dinv = _rebalance(
+        G, K, Kinv, Dinv = _rebalance(
             W,
             entries,
             "linear part is not paired-generic and the rebalanced normal form",
@@ -751,7 +751,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
         trace.append("fresh-prime rebalance of a non-generic linear part")
     inner = _ambient_factors(G, mode, trace)
     if K is not None:
-        inner = _dress_factors(inner, K, map_invert(K))
+        inner = _dress_factors(inner, K, Kinv)
     return pre + inner
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .scalars import ONE, ZERO, Scalar, scalar
 from .series import (
+    DegreeTable,
     Series,
     SeriesFormatError,
     TruncationMismatch,
@@ -305,48 +306,32 @@ def apply_linear(M: Matrix, F: FormalMap) -> FormalMap:
     return FormalMap.__new_raw__(F.nvars, F.trunc, tuple(comps))
 
 
-def composite_part(F: FormalMap, G: FormalMap, d: int) -> FormalMap:
-    """The degree-d homogeneous part of F after G (zero elsewhere).
-
-    Neither map has a constant term, so a term of degree above d in F or
-    in G only reaches degrees above d: the part is computed exactly from
-    both maps truncated at d.
-    """
-    N = F.trunc
-    if d < N:
-        F, G = F.truncate(d), G.truncate(d)
-    return FormalMap.__new_raw__(
-        F.nvars,
-        N,
-        tuple(c.homogeneous_component(d).truncate(N) for c in map_compose(F, G).comps),
-    )
-
-
 def map_invert(F: FormalMap) -> FormalMap:
     """Compositional inverse, degree by degree.
 
-    Starts from the inverse of the linear part and cancels one degree per
-    step: if F(G(z)) = z + E_d + O(d+1) then replacing G by
-    G - L(F)^{-1} E_d cancels degree d without disturbing lower ones.
-    Step d needs only E_d, the degree-d part of F after G.
+    Writes F = L + H, H the nonlinear part, and solves F o G = id for G
+    from G_1 = L^{-1}: the degree-d part of F o G is L G_d + [H o G]_d,
+    and H reaches degree d only through the parts of G below d, so
+    G_d = -L^{-1} [H o G_{<d}]_d.  G grows on one ``DegreeTable``, which
+    computes each monomial value of G once, by degree slice.
     """
     L = F.linear_part()
     try:
         Li = L.inverse()
     except ZeroDivisionError:
         raise ZeroDivisionError("not invertible: singular linear part")
-    G = FormalMap.from_linear(Li, F.trunc)
-    for d in range(2, F.trunc + 1):
-        E = composite_part(F, G, d)
-        if all(c.is_zero() for c in E.comps):
-            continue
-        corr = apply_linear(Li, E)
-        G = FormalMap.__new_raw__(
-            F.nvars,
-            F.trunc,
-            tuple(g - c for g, c in zip(G.comps, corr.comps)),
-        )
-    return G
+    n, N = F.nvars, F.trunc
+    G = FormalMap.from_linear(Li, N)
+    table = DegreeTable(G.comps)
+    H = [c - c.homogeneous_component(1) for c in F.comps]
+    comps = list(G.comps)
+    for d in range(2, N + 1):
+        E = FormalMap.__new_raw__(n, N, tuple(table.part(h, d) for h in H))
+        parts = [-c for c in apply_linear(Li, E).comps]
+        if d < N:  # no later step reads the top part
+            table.extend(parts, d)
+        comps = [g + c for g, c in zip(comps, parts)]
+    return FormalMap.__new_raw__(n, N, tuple(comps))
 
 
 def dress(Fs, K: FormalMap, Kinv: FormalMap) -> list:

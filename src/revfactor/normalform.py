@@ -4,7 +4,8 @@ Two entry points share one solve:
 
 * ``poincare_dulac`` — normalize a map relative to its diagonal linear
   part, eliminating every non-resonant monomial and keeping the resonant
-  ones; returns the normal form and the tangent-to-identity conjugator.
+  ones; returns the normal form, the tangent-to-identity conjugator and
+  its inverse.
 * ``solve_conjugacy`` — solve K^{-1} F K = G for K when it exists
   degree by degree; failures come back as structured ``Obstruction``
   data, not exceptions.
@@ -19,13 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, Scalar, format_scalar
-from .series import Series
-from .maps import (
-    FormalMap,
-    composite_part,
-    format_map,
-    map_compose,
-)
+from .series import DegreeTable, Series
+from .maps import FormalMap, format_map, map_compose
 
 
 @dataclass(frozen=True)
@@ -129,27 +125,40 @@ def _conjugate_away(F: FormalMap, target: FormalMap | None):
     Non-resonant monomials determine k.  Resonant ones keep k = 0: with
     no target, g = e goes into the normal form G; against a target, G is
     the target and a resonant defect left over is an Obstruction.
-    Returns (G, K) or that Obstruction.
+
+    K and G grow one degree per step, each on one ``DegreeTable``: F o K
+    is read from K's table and K o G from G's, and each monomial's
+    eigenvalue lam^q is computed once.  K's table also gives K^{-1} = I
+    in the same loop: I o K = id reads I_d = -k_d - [I_{<d} o K]_d, and
+    the nonlinear part of I reaches degree d through K's parts below d
+    only.  Returns (G, K, K^{-1}) or that Obstruction.
     """
     lam = _diagonal_eigenvalues(F)
     n, N = F.nvars, F.trunc
-    if target is None:
-        G = FormalMap.from_linear(F.linear_part(), N)
-    elif target.linear_part() != F.linear_part():
+    if target is not None and target.linear_part() != F.linear_part():
         return Obstruction(
             1, 1, (0,) * n, Scalar(0), Scalar(1),
             "linear parts differ; conjugate by a linear seed first",
         )
-    else:
-        G = target
-    K = FormalMap.identity(n, N)
+    linear = FormalMap.from_linear(F.linear_part(), N).comps
+    X = FormalMap.identity(n, N).comps
+    K_table, G_table = DegreeTable(X), DegreeTable(linear)
+    # the nonlinear parts: of F, and of K, G and K^{-1} as known so far
+    F_high = [c - c.homogeneous_component(1) for c in F.comps]
+    K_high = G_high = I_high = [Series.zero(n, N)] * n
+    mus: dict = {}
     for d in range(2, N + 1):
-        FK, KG = composite_part(F, K, d), composite_part(K, G, d)
         kappa_comps, g_comps = [], []
         for j in range(n):
+            defect = K_table.part(F_high[j], d) - G_table.part(K_high[j], d)
+            if target is not None:
+                g = target.comps[j].homogeneous_component(d)
+                defect = defect - g
             kappa, gnew = {}, {}
-            for q, e in (FK.comps[j] - KG.comps[j]).coeffs.items():
-                mu = _monomial_eigenvalue(lam, q)
+            for q, e in defect.coeffs.items():
+                mu = mus.get(q)
+                if mu is None:
+                    mu = mus[q] = _monomial_eigenvalue(lam, q)
                 if mu != lam[j]:
                     kappa[q] = e / (mu - lam[j])
                 elif target is None:
@@ -157,20 +166,28 @@ def _conjugate_away(F: FormalMap, target: FormalMap | None):
                 else:
                     return Obstruction(d, j + 1, q, Scalar(0), -e)
             kappa_comps.append(Series(n, N, kappa))
-            g_comps.append(Series(n, N, gnew))
-        K = FormalMap([c + k for c, k in zip(K.comps, kappa_comps)])
-        if target is None:
-            G = FormalMap([c + g for c, g in zip(G.comps, g_comps)])
-    return G, K
+            g_comps.append(Series(n, N, gnew) if target is None else g)
+        if d < N:  # no later step reads the top parts
+            K_table.extend(kappa_comps, d)
+            G_table.extend(g_comps, d)
+        iota = [-k - K_table.part(c, d) for k, c in zip(kappa_comps, I_high)]
+        K_high = [c + k for c, k in zip(K_high, kappa_comps)]
+        G_high = [c + g for c, g in zip(G_high, g_comps)]
+        I_high = [c + i for c, i in zip(I_high, iota)]
+    return tuple(
+        FormalMap([a + b for a, b in zip(low, high)])
+        for low, high in ((linear, G_high), (X, K_high), (X, I_high))
+    )
 
 
 def poincare_dulac(F: FormalMap):
     """Normalize F relative to its diagonal linear part.
 
-    Returns (F_norm, K) with K tangent to the identity,
+    Returns (F_norm, K, K^{-1}) with K tangent to the identity,
     K^{-1} F K = F_norm, and F_norm containing only resonant monomials
     (coefficients as produced with all free choices zero), so F_norm
-    commutes with the linear part.
+    commutes with the linear part.  K^{-1} comes out of the same degree
+    loop, so a caller that conjugates back needs no ``map_invert``.
     """
     return _conjugate_away(F, None)
 

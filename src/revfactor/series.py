@@ -34,7 +34,10 @@ results do not depend on where the reduction happens.
 A memo is the substitution table of one inner map: it records the args
 it was built for, serves every outer series of one ring composed with
 them (``maps.map_compose`` takes it too, and the verifier shares one per
-factor), and refuses other args with ValueError.
+factor), and refuses other args with ValueError.  A ``DegreeTable`` is the
+table of inner series that a degree loop solves one homogeneous part at a
+time (``maps.map_invert``, the normal form's conjugator): it keeps each
+monomial's value by degree slice, so a new part never invalidates one.
 
 The text format of series and maps lives here too: ``format_series``,
 ``parse_series``, and the one lexer and reader behind ``maps.parse_map``.
@@ -539,6 +542,135 @@ def _value(e: int, memo: dict, rows, unit: int, place, limit: int) -> dict:
         out = {key: t for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
     memo[e] = out
     return out
+
+
+class DegreeTable:
+    """The substitution table of inner series solved one degree at a time.
+
+    A degree loop that solves its inner series g one homogeneous part per
+    step needs, at step d, only the degree-d part of f o g, and g has no
+    constant term, so a monomial of f of degree p reads the parts of g up
+    to degree d - p + 1 only.  The table keeps the value of each monomial
+    of f's ring by degree slice: slice s of g^e, |e| = p, is the sum over
+    m of slice s - m of g^(e - u_j) times g_j's degree-m part.  Once
+    computed a slice never changes, since later parts of g only reach
+    higher slices.
+
+    Every row and slice is kept over one running denominator D: g_j's
+    parts as numerator rows over D, a slice of g^e as numerators over
+    D**p.  When ``extend`` brings a part whose denominators do not divide
+    D, D becomes D * r, and every stored row is scaled by r and every
+    slice of a degree-p monomial by r**p.
+
+    ``linear`` holds the inner series' degree-1 parts, k Series in one
+    ring; ``extend`` adds the higher parts.
+    """
+
+    __slots__ = ("nvars", "trunc", "degree", "_den", "_rows", "_slices")
+
+    def __init__(self, linear):
+        linear = tuple(linear)
+        self.nvars, self.trunc = linear[0].nvars, linear[0].trunc
+        self.degree, self._den = 0, 1
+        # _rows[j][m]: g_j's degree-m part as numerator rows over D
+        self._rows = [{} for _ in linear]
+        # _slices[e][s]: slice s of monomial e's value, over D**deg(e)
+        self._slices = {}
+        self.extend(linear, 1)
+
+    def extend(self, parts, d: int) -> None:
+        """Add the inner series' degree-d parts, d one above the degree
+        known so far."""
+        if d != self.degree + 1 or d > self.trunc:
+            raise ValueError(f"table knows degree {self.degree}; cannot add degree {d}")
+        parts = tuple(parts)
+        if len(parts) != len(self._rows):
+            raise TruncationMismatch(f"need {len(self._rows)} parts, got {len(parts)}")
+        n, N = self.nvars, self.trunc
+        unit = _ring(n, N)[0]
+        for g in parts:
+            if (g.nvars, g.trunc) != (n, N):
+                raise TruncationMismatch("part lies in another ring")
+            if not all(d * unit <= key < (d + 1) * unit for key in g._terms):
+                raise ValueError(f"part is not homogeneous of degree {d}")
+        D = lcm(self._den, *[_den(g._terms) for g in parts])
+        if D != self._den:
+            self._rescale(D // self._den)
+            self._den = D
+        for rows, g in zip(self._rows, parts):
+            if g._terms:
+                rows[d] = _numerators(g._terms, D)
+        self.degree = d
+
+    def _rescale(self, r: int) -> None:
+        for rows in self._rows:
+            for m, row in rows.items():
+                rows[m] = _scaled(row, r)
+        unit = _ring(len(self._rows), self.trunc)[0]
+        for e, slices in self._slices.items():
+            rp = r ** (e // unit)
+            for s, row in slices.items():
+                slices[s] = _scaled(row, rp)
+
+    def part(self, f: Series, d: int) -> Series:
+        """The degree-d part of f o inner, a Series in the inner ring.
+
+        A monomial of f of degree p reads the inner parts up to degree
+        d - p + 1; one the table does not know yet raises ValueError."""
+        k, N = len(self._rows), self.trunc
+        if (f.nvars, f.trunc) != (k, N):
+            raise TruncationMismatch(
+                f"outer series has (n={f.nvars}, N={f.trunc}), table needs (n={k}, N={N})"
+            )
+        n = self.nvars
+        unit = _ring(k, N)[0]
+        items = [(e, c) for e, c in f._terms.items() if e and e // unit <= d]
+        if not items:
+            return _new(n, N, {})
+        if d - min(e for e, _ in items) // unit >= self.degree:
+            raise ValueError(f"table knows degree {self.degree}, too low for degree {d}")
+        D = self._den
+        top = max(e for e, _ in items) // unit
+        L = lcm(*[c._v[4] for _, c in items])
+        acc: dict = {}
+        limit = _ring(n, N)[2]
+        for e, c in items:
+            row = self._slice(e, d, unit)
+            if row:
+                p, q, r, s, m = c._v
+                u = L // m * D ** (top - e // unit)
+                _mul_into(acc, ((0, (p * u, q * u, r * u, s * u)),), row, limit)
+        return _new(n, N, _scalars(acc, L * D**top))
+
+    def _slice(self, e: int, s: int, unit: int) -> list:
+        """Slice s of the value of the monomial with packed key e, as
+        numerator rows over D**deg(e), memoized."""
+        p = e // unit
+        place = _ring(len(self._rows), self.trunc)[1]
+        # peel one factor off the first variable present, as _value does
+        low, j = e % unit, 0
+        while low < place[j]:
+            j += 1
+        rows = self._rows[j]
+        if p == 1:
+            return rows.get(s, ())
+        slices = self._slices.setdefault(e, {})
+        got = slices.get(s)
+        if got is None:
+            parent = e - unit - place[j]
+            acc: dict = {}
+            limit = _ring(self.nvars, self.trunc)[2]
+            for m in range(1, s - p + 2):
+                row = rows.get(m)
+                head = self._slice(parent, s - m, unit) if row else None
+                if head:
+                    _mul_into(acc, head, row, limit)
+            got = slices[s] = [(key, t) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]]
+        return got
+
+
+def _scaled(rows: list, r: int) -> list:
+    return [(key, (p * r, q * r, x * r, s * r)) for key, (p, q, x, s) in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,14 @@ def test_split_roundtrip_and_obstruction(tmp_path, capsys):
     assert "not a paired-centralizer element" in capsys.readouterr().err
 
 
+def test_split_refuses_a_one_variable_map(tmp_path, capsys):
+    # a one-variable map has no pairing structure: malformed input, not a bug
+    path = tmp_path / "t.map"
+    path.write_text("map n=1 N=6 { comp1: { [1]: 1 ; [4]: 2 } }\n")
+    assert main(["split", str(path)]) == 2
+    assert "pairing structure needs n >= 2" in capsys.readouterr().err
+
+
 def test_factor_writes_certificate_and_verify_passes(tmp_path, capsys, fmap):
     assert main(["factor", "--mode", "reversible", str(fmap)]) == 0
     out = capsys.readouterr().out

@@ -21,7 +21,7 @@ from revfactor.maps import (
     map_invert,
     parse_map,
 )
-from revfactor import dim1
+from revfactor import dim1, maps
 from revfactor.cli import main
 from revfactor.normalform import Witness, poincare_dulac, verify_witness
 from revfactor.structure import (
@@ -221,7 +221,8 @@ N3_GENERAL = (
 
 def test_reduce_to_centralizer_contract():
     F = parse_map(N3_GENERAL)
-    G, prefix, C = reduce_to_centralizer(F)
+    G, prefix, C, Cinv = reduce_to_centralizer(F)
+    assert map_compose(C, Cinv).is_identity()
     assert centralizer_membership(G)
     for f in prefix:
         assert verify_witness(f.map, f.witness)
@@ -229,6 +230,25 @@ def test_reduce_to_centralizer_contract():
     for f in reversed(prefix):
         rebuilt = map_compose(f.map, rebuilt)
     assert rebuilt == F
+
+
+def test_factoring_inverts_no_map_of_several_variables(monkeypatch):
+    # every normal form hands back its conjugator's inverse, so only the
+    # one-variable layer still calls map_invert
+    original = maps.map_invert
+    sizes = []
+
+    def counted(F):
+        sizes.append(F.nvars)
+        return original(F)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("revfactor") and getattr(module, "map_invert", None) is original:
+            monkeypatch.setattr(module, "map_invert", counted)
+    F = parse_map(N3_GENERAL)
+    assert factor_reversibles(F).recompose() == F
+    assert factor_involutions(F).recompose() == F
+    assert all(n == 1 for n in sizes), sizes
 
 
 def test_reduce_to_centralizer_rejects_small_and_nondiagonal():
@@ -334,7 +354,7 @@ def test_balanced_normal_form_coefficients():
     T = FormalMap.from_linear(balance_matrix(), N)
     lam = _diag_map([Q(2), Q(1, 2)], N)
     M1 = map_compose(lam, conjugate(S, T))
-    G, K = poincare_dulac(M1)
+    G, K, _ = poincare_dulac(M1)
     third = -R3 / Scalar(9)
     assert G.comps[0].coefficient((3, 2)) == Q(2) * third
     assert G.comps[1].coefficient((2, 3)) == Q(1, 2) * -third

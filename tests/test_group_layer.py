@@ -8,14 +8,13 @@ from revfactor.maps import (
     FormalMap,
     Matrix,
     apply_linear,
-    composite_part,
     conjugate,
     map_compose,
     map_invert,
 )
 from revfactor.normalform import Witness, poincare_dulac, verify_witness
 from revfactor.scalars import ONE, scalar
-from revfactor.series import Series
+from revfactor.series import DegreeTable, Series
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +123,21 @@ def _involution(K, signs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(map_pairs(), st.integers(2, 5))
-def test_composite_part_is_the_slice_of_the_full_composite(pair, d):
+@given(map_pairs())
+def test_degree_table_part_is_the_slice_of_the_full_composite(pair):
+    """A table fed G one degree at a time gives every slice of F o G: the
+    nonlinear part of F before G's degree-d part arrives, all of F after."""
     F, G = pair
-    assume(d <= F.trunc)
-    assert composite_part(F, G, d) == map_compose(F, G).homogeneous_part(d)
+    full = map_compose(F, G)
+    table = DegreeTable(G.homogeneous_part(1).comps)
+    high = [c - c.homogeneous_component(1) for c in F.comps]
+    for d in range(1, F.trunc + 1):
+        want = full.homogeneous_part(d)
+        if d > 1:
+            linear = map_compose(F.homogeneous_part(1), G).homogeneous_part(d)
+            assert [table.part(c, d) + l for c, l in zip(high, linear.comps)] == list(want.comps)
+            table.extend(G.homogeneous_part(d).comps, d)
+        assert [table.part(c, d) for c in F.comps] == list(want.comps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,9 +160,18 @@ def diagonal_maps(draw):
 @settings(max_examples=40, deadline=None)
 @given(diagonal_maps())
 def test_sliced_poincare_dulac_matches_the_reference(F):
-    G, K = poincare_dulac(F)
+    G, K, _ = poincare_dulac(F)
     assert (G, K) == poincare_dulac_reference(F)
     assert conjugate(F, K) == G
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_maps())
+def test_poincare_dulac_returns_the_inverse_conjugator(F):
+    _, K, Kinv = poincare_dulac(F)
+    identity = FormalMap.identity(F.nvars, F.trunc)
+    assert map_compose(K, Kinv) == identity
+    assert map_compose(Kinv, K) == identity
 
 
 @st.composite

@@ -54,7 +54,7 @@ def test_normalization_frozen_example():
     F = FormalMap(
         [Series(2, 6, {(1, 0): 2, (0, 2): 1}), Series(2, 6, {(0, 1): scalar(1) / 2})]
     )
-    G, K = poincare_dulac(F)
+    G, K, _ = poincare_dulac(F)
     assert G == FormalMap.diagonal([2, scalar(1) / 2], 6)
     assert K.comps[0] == Series(2, 6, {(1, 0): 1, (0, 2): scalar(-4) / 7})
     assert K.comps[1] == Series(2, 6, {(0, 1): 1})
@@ -63,7 +63,7 @@ def test_normalization_frozen_example():
 
 def test_normalization_of_linear_is_trivial():
     F = FormalMap.diagonal([3, 5], 5)
-    G, K = poincare_dulac(F)
+    G, K, _ = poincare_dulac(F)
     assert G == F
     assert K.is_identity()
 
@@ -72,8 +72,8 @@ def test_normalization_is_idempotent():
     F = FormalMap(
         [Series(2, 5, {(1, 0): 2, (0, 2): 1, (2, 1): 3}), Series(2, 5, {(0, 1): 5})]
     )
-    G, K = poincare_dulac(F)
-    G2, K2 = poincare_dulac(G)
+    G, K, _ = poincare_dulac(F)
+    G2, K2, _ = poincare_dulac(G)
     assert G2 == G
     assert K2.is_identity()
 
@@ -98,7 +98,7 @@ def test_generic_paired_linear_part_normalizes_into_centralizer():
                 data[tuple(e)] = rng.choice([1, -1, 2])
             junk.append(Series(n, 5, data))
         F = FormalMap(junk)
-        G, K = poincare_dulac(F)
+        G, K, _ = poincare_dulac(F)
         assert K.linear_part().is_identity()
         assert map_compose(F, K) == map_compose(K, G)
         assert centralizer_membership(G)
@@ -111,7 +111,7 @@ def test_surviving_monomials_are_exactly_resonant():
             Series(2, 5, {(0, 1): scalar(1) / 2, (1, 2): -1, (3, 0): 1}),
         ]
     )
-    G, K = poincare_dulac(F)
+    G, K, _ = poincare_dulac(F)
     lam = (Scalar(2), scalar(1) / 2)
     for j in range(2):
         for q in G.comps[j].coeffs:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revfactor.maps import FormalMap, composite_part, format_map, parse_map
+from revfactor.maps import FormalMap, format_map, parse_map
 from revfactor.scalars import Scalar, ScalarFormatError, rat
 from revfactor.series import (
+    DegreeTable,
     Series,
     SeriesFormatError,
     TruncationMismatch,
@@ -264,23 +265,6 @@ def test_packed_slices_match_the_reference(case, d):
     assert wide * Series.one(n, N + 3) == wide
 
 
-@settings(max_examples=40, deadline=None)
-@given(rings().filter(lambda r: r[1] >= 2), st.data())
-def test_composite_part_repacks_the_slice(ring, data):
-    n, N = ring
-    d = data.draw(st.integers(1, N))
-    units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    F, G = [
-        FormalMap([Series(n, N, {units[i]: 1, **data.draw(series_in(n, N, low=2))}) for i in range(n)])
-        for _ in range(2)
-    ]
-    part = composite_part(F, G, d)
-    full = [ref_compose(dict(c.coeffs), [dict(g.coeffs) for g in G.comps], n, N) for c in F.comps]
-    for got, want in zip(part.comps, full):
-        assert (got.nvars, got.trunc) == (n, N)
-        assert dict(got.coeffs) == {e: v for e, v in want.items() if sum(e) == d}
-
-
 # ---------------------------------------------------------------------------
 # the raw-numerator kernel: compose keeps monomial values over D**deg, D
 # the lcm of the substitutions' denominators, so large pairwise-coprime
@@ -324,6 +308,44 @@ def test_compose_over_coprime_denominators_shares_one_memo(ring, k, data):
         f[(0,) * k] = data.draw(big_coeffs)
         got = compose(Series(k, N, f), sargs, memo)
         assert dict(got.coeffs) == ref_compose(_nonzero(f), args, n, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(), st.integers(1, 3), st.data())
+def test_degree_table_over_coprime_denominators_matches_the_reference(ring, k, data):
+    # the args arrive one degree at a time, and a part over a new prime
+    # rescales every stored row and slice
+    n, N = ring
+    args = [data.draw(series_in(n, N, low=1, coeffs=big_coeffs)) for _ in range(k)]
+    sargs = [Series(n, N, g) for g in args]
+    outer = [data.draw(series_in(k, N, low=1, coeffs=big_coeffs)) for _ in range(2)]
+    want = [ref_compose(_nonzero(f), args, n, N) for f in outer]
+    table = DegreeTable([g.homogeneous_component(1) for g in sargs])
+    for d in range(1, N + 1):
+        if d > 1:
+            table.extend([g.homogeneous_component(d) for g in sargs], d)
+        for f, ref in zip(outer, want):
+            got = table.part(Series(k, N, f), d)
+            assert (got.nvars, got.trunc) == (n, N)
+            assert dict(got.coeffs) == {e: v for e, v in ref.items() if sum(e) == d}
+
+
+def test_degree_table_refuses_what_it_does_not_know():
+    x, y = Series.variable(2, 4, 0), Series.variable(2, 4, 1)
+    table = DegreeTable([x, y])
+    for linear in ([x + 1, y], [x * y, y]):
+        with pytest.raises(ValueError, match="not homogeneous of degree 1"):
+            DegreeTable(linear)
+    # a linear monomial of the outer series reads the args' degree-2 part
+    with pytest.raises(ValueError, match="too low"):
+        table.part(x + x * y, 2)
+    assert table.part(x * y, 2) == x * y
+    with pytest.raises(ValueError, match="cannot add degree 3"):
+        table.extend([x * x * x, y * y * y], 3)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        table.extend([x * x + x * x * x, Series.zero(2, 4)], 2)
+    with pytest.raises(TruncationMismatch):
+        table.part(Series.variable(3, 4, 0), 2)
 
 
 @settings(max_examples=60, deadline=None)
