@@ -29,7 +29,7 @@ from __future__ import annotations
 from .maps import FormalMap, dress, is_involution, map_compose, map_invert
 from .normalform import Obstruction, Witness, verify_witness
 from .scalars import ONE, ZERO, Scalar, rat, reverser_seeds, scalar
-from .series import DegreeTable, Series
+from .series import Series, Table
 
 I_UNIT = Scalar(0, 1)
 
@@ -203,7 +203,7 @@ def conjugate_to(g: FormalMap, target: FormalMap, c=ONE):
     c = scalar(c)
     gs, ts = _slices(g), _slices(target)
     # one substitution table per slice of the target serves every probe
-    tables = [{} for _ in ts]
+    tables = [None] + [Table(t.comps) for t in ts[1:]]
 
     def build(params, d):
         h = _dressing(c, params, d)
@@ -244,12 +244,12 @@ def quarter_family(c, N: int) -> FormalMap:
     for k = 1 mod 4 (the quintic one comes out as 3/2 c^2).  For
     k = 3 mod 4, b_k = -a_k leaves the slot free: a_3 = c and the
     others are 0, as are the even slots.  B grows on one
-    ``DegreeTable``.  A is checked against the witness equation
+    growing ``Table``.  A is checked against the witness equation
     A o h o A = h before it is returned.
     """
     c = scalar(c)
     data = {1: ONE, 3: c}
-    B = DegreeTable(poly1({1: ONE}, N).comps)
+    B = Table(poly1({1: ONE}, N).comps, growing=True)
     for k in range(2, N + 1):
         if k % 4 == 1:
             A_high = Series(1, N, {(d,): v for d, v in data.items() if d > 1})
@@ -287,7 +287,7 @@ def _p1_split(g: FormalMap):
     """Quadratic-led tangent map as (homography class) o (order-four class)."""
     N = g.trunc
     gs, fs = _slices(g), _slices(mobius(coeff(g, 2), N))
-    tables = [{} for _ in gs]
+    tables = [None] + [Table(t.comps) for t in gs[1:]]
     unit = quarter_family(ONE, N)
 
     def family(c, d):
@@ -362,8 +362,9 @@ def _shift_split(g: FormalMap):
     homography; the cofactor inherits a zero cubic invariant and lands in
     the homography class."""
     N = g.trunc
+    # t / (1 + t) is the inverse of the shift t / (1 - t)
     F = mobius(ONE, N)
-    G = map_compose(map_invert(F), g)
+    G = map_compose(mobius(-ONE, N), g)
     wG = mobius_witness(G)
     if wG is None:  # pragma: no cover - invariant is additive
         raise AssertionError("shift cofactor lost the homography class")

@@ -35,6 +35,7 @@ from .maps import (
 )
 from .normalform import Obstruction, Witness, poincare_dulac, verify_witness
 from .scalars import ONE, Scalar, TextFormatError, rat, scalar
+from .series import Table
 from .structure import (
     PairedDiagonal,
     ShapeError,
@@ -908,13 +909,13 @@ def verify_factorization(fz: Factorization) -> FactorReport:
         # one substitution table for f serves every composition with f
         # inside: the recomposition step, the square and (f o h) o f; one
         # square serves the involution check and the witness check
-        memo: dict = {}
-        prod = map_compose(prod, f.map, memo)
-        square = map_compose(f.map, f.map, memo) if fz.mode == "involutive" else None
+        table = Table(f.map.comps)
+        prod = map_compose(prod, f.map, table)
+        square = map_compose(f.map, f.map, table) if fz.mode == "involutive" else None
         checks.append(
             (
                 f"witness {i}/{k}",
-                verify_witness(f.map, f.witness, square, memo),
+                verify_witness(f.map, f.witness, square, table),
                 f"kind {f.kind}, witness {f.witness.kind}",
             )
         )

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .scalars import ONE, ZERO, Scalar, scalar
 from .series import (
-    DegreeTable,
     Series,
     SeriesFormatError,
+    Table,
     TruncationMismatch,
     _Reader,
     compose,
@@ -275,21 +275,21 @@ class FormalMap:
         return self
 
 
-def map_compose(F: FormalMap, G: FormalMap, memo=None) -> FormalMap:
-    """The composite F after G, sharing the substitution cache across
-    components.
+def map_compose(F: FormalMap, G: FormalMap, table=None) -> FormalMap:
+    """The composite F after G, every component on one substitution table.
 
-    ``memo`` is G's substitution table (see ``series.compose``): pass one
-    dict to several compositions with the inner map G to build it once.
+    ``table`` is G's ``series.Table``: pass one to several compositions
+    with the inner map G to build it once.  A table built for another
+    inner map raises ValueError.
     """
     if F.nvars != G.nvars or F.trunc != G.trunc:
         raise TruncationMismatch("composition needs matching n and N")
-    if memo is None:
-        memo = {}
+    if table is None:
+        table = Table(G.comps)
     return FormalMap.__new_raw__(
         F.nvars,
         F.trunc,
-        tuple(compose(c, G.comps, memo) for c in F.comps),
+        tuple(compose(c, G.comps, table) for c in F.comps),
     )
 
 
@@ -312,8 +312,8 @@ def map_invert(F: FormalMap) -> FormalMap:
     Writes F = L + H, H the nonlinear part, and solves F o G = id for G
     from G_1 = L^{-1}: the degree-d part of F o G is L G_d + [H o G]_d,
     and H reaches degree d only through the parts of G below d, so
-    G_d = -L^{-1} [H o G_{<d}]_d.  G grows on one ``DegreeTable``, which
-    computes each monomial value of G once, by degree slice.
+    G_d = -L^{-1} [H o G_{<d}]_d.  G grows on one growing ``Table``,
+    which computes each monomial value of G once, by degree.
     """
     L = F.linear_part()
     try:
@@ -322,7 +322,7 @@ def map_invert(F: FormalMap) -> FormalMap:
         raise ZeroDivisionError("not invertible: singular linear part")
     n, N = F.nvars, F.trunc
     G = FormalMap.from_linear(Li, N)
-    table = DegreeTable(G.comps)
+    table = Table(G.comps, growing=True)
     H = [c - c.homogeneous_component(1) for c in F.comps]
     comps = list(G.comps)
     for d in range(2, N + 1):
@@ -337,14 +337,14 @@ def map_invert(F: FormalMap) -> FormalMap:
 def dress(Fs, K: FormalMap, Kinv: FormalMap) -> list:
     """K after F after Kinv for each F in Fs, Kinv the inverse of K.
 
-    Every K o F lies in one ring, and the memo of ``compose`` is keyed by
-    that ring's monomials, so one memo for Kinv serves them all.
+    Every K o F lies in one ring, and a ``Table`` keeps the values of
+    that ring's monomials, so one table for Kinv serves them all.
     """
-    memo: dict = {}
+    table = Table(Kinv.comps)
     out = []
     for F in Fs:
         KF = map_compose(K, F)
-        comps = tuple(compose(c, Kinv.comps, memo) for c in KF.comps)
+        comps = tuple(compose(c, Kinv.comps, table) for c in KF.comps)
         out.append(FormalMap.__new_raw__(KF.nvars, KF.trunc, comps))
     return out
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import ONE, Scalar, format_scalar
-from .series import DegreeTable, Series
+from .series import Series, Table
 from .maps import FormalMap, format_map, map_compose
 
 
@@ -71,29 +71,29 @@ class Witness:
 
 
 def verify_witness(
-    g: FormalMap, w: Witness, square: FormalMap | None = None, memo=None
+    g: FormalMap, w: Witness, square: FormalMap | None = None, table=None
 ) -> bool:
     """Recheck a witness by composition alone (no shared search code).
 
     A reverser is checked as g o h o g = h, which for a nonsingular h is
     h^{-1} g h = g^{-1} and needs no inverse; a singular h is refused,
     since the zero map would satisfy the equation for every g.
-    ``square`` is g o g when the caller already has it, and ``memo`` is
-    g's substitution table (see ``map_compose``) when the caller shares
-    one: it serves (g o h) o g.  h's own table is built once and serves
-    g o h and h o h.
+    ``square`` is g o g when the caller already has it, and ``table`` is
+    g's substitution ``Table`` (see ``map_compose``) when the caller
+    shares one: it serves (g o h) o g.  h's own table is built once and
+    serves g o h and h o h.
     """
     if w.kind == "involution_self":
         if square is None:
-            square = map_compose(g, g, memo)
+            square = map_compose(g, g, table)
         return w.h == g and square.is_identity()
     h = w.h
     if h.linear_part().det().is_zero():
         return False
-    h_memo: dict = {}
-    ok = map_compose(map_compose(g, h, h_memo), g, memo) == h
+    h_table = Table(h.comps)
+    ok = map_compose(map_compose(g, h, h_table), g, table) == h
     if w.kind == "involutive_reverser":
-        ok = ok and map_compose(h, h, h_memo).is_identity()
+        ok = ok and map_compose(h, h, h_table).is_identity()
     return ok
 
 
@@ -109,12 +109,16 @@ def _diagonal_eigenvalues(F: FormalMap):
     return lam
 
 
-def _monomial_eigenvalue(lam, exponent) -> Scalar:
-    power = ONE
-    for l, e in zip(lam, exponent):
-        if e:
-            power = power * l**e
-    return power
+def _monomial_eigenvalue(lam, q: tuple, mus: dict) -> Scalar:
+    """lam^q, memoized in mus, which holds lam^0 = 1: the parent
+    monomial's eigenvalue times one lam_j, peeled off the first variable
+    present as a ``Table`` peels monomials."""
+    mu = mus.get(q)
+    if mu is None:
+        j = next(j for j, x in enumerate(q) if x)
+        parent = q[:j] + (q[j] - 1,) + q[j + 1:]
+        mu = mus[q] = _monomial_eigenvalue(lam, parent, mus) * lam[j]
+    return mu
 
 
 def _conjugate_away(F: FormalMap, target: FormalMap | None):
@@ -126,7 +130,7 @@ def _conjugate_away(F: FormalMap, target: FormalMap | None):
     no target, g = e goes into the normal form G; against a target, G is
     the target and a resonant defect left over is an Obstruction.
 
-    K and G grow one degree per step, each on one ``DegreeTable``: F o K
+    K and G grow one degree per step, each on one growing ``Table``: F o K
     is read from K's table and K o G from G's, and each monomial's
     eigenvalue lam^q is computed once.  K's table also gives K^{-1} = I
     in the same loop: I o K = id reads I_d = -k_d - [I_{<d} o K]_d, and
@@ -142,11 +146,11 @@ def _conjugate_away(F: FormalMap, target: FormalMap | None):
         )
     linear = FormalMap.from_linear(F.linear_part(), N).comps
     X = FormalMap.identity(n, N).comps
-    K_table, G_table = DegreeTable(X), DegreeTable(linear)
+    K_table, G_table = Table(X, growing=True), Table(linear, growing=True)
     # the nonlinear parts: of F, and of K, G and K^{-1} as known so far
     F_high = [c - c.homogeneous_component(1) for c in F.comps]
     K_high = G_high = I_high = [Series.zero(n, N)] * n
-    mus: dict = {}
+    mus = {(0,) * n: ONE}
     for d in range(2, N + 1):
         kappa_comps, g_comps = [], []
         for j in range(n):
@@ -156,9 +160,7 @@ def _conjugate_away(F: FormalMap, target: FormalMap | None):
                 defect = defect - g
             kappa, gnew = {}, {}
             for q, e in defect.coeffs.items():
-                mu = mus.get(q)
-                if mu is None:
-                    mu = mus[q] = _monomial_eigenvalue(lam, q)
+                mu = _monomial_eigenvalue(lam, q, mus)
                 if mu != lam[j]:
                     kappa[q] = e / (mu - lam[j])
                 elif target is None:

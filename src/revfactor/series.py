@@ -24,20 +24,21 @@ constructor, ``coefficient``, ``terms`` and the read-only ``coeffs`` view.
 There is one product kernel, ``_mul_into``, on integer numerator rows over
 a denominator kept outside.  ``Series.__mul__`` brings each operand over
 the lcm of its coefficients' denominators and reduces each coefficient of
-the product once.  ``compose`` brings its substitutions over one common
-denominator D, once per memo, and keeps the value of a monomial of degree
-d as raw numerators over D**d: a monomial power costs integer
-multiply-adds only, with no gcd, lcm or Scalar, and each output
+the product once.  A substitution runs on a ``Table``, which brings the
+inner series over one common denominator D and keeps the value of a
+monomial of degree d as raw numerators over D**d: a monomial power costs
+integer multiply-adds only, with no gcd, lcm or Scalar, and each output
 coefficient is reduced once.  The normal form of a Scalar is unique, so
 results do not depend on where the reduction happens.
 
-A memo is the substitution table of one inner map: it records the args
-it was built for, serves every outer series of one ring composed with
-them (``maps.map_compose`` takes it too, and the verifier shares one per
-factor), and refuses other args with ValueError.  A ``DegreeTable`` is the
-table of inner series that a degree loop solves one homogeneous part at a
-time (``maps.map_invert``, the normal form's conjugator): it keeps each
-monomial's value by degree slice, so a new part never invalidates one.
+A ``Table`` is the only substitution cache, with one recurrence for a
+monomial's value.  It serves every outer series of one ring composed
+with the inner map it was built for (``compose`` and ``maps.map_compose``
+take it, and the verifier shares one per factor) and refuses other inner
+series with ValueError.  A table of fixed inner series keeps each value
+whole; a growing table, for inner series that a degree loop solves one
+homogeneous part at a time (``maps.map_invert``, the normal form's
+conjugator), keeps each value by degree, so a new part changes none.
 
 The text format of series and maps lives here too: ``format_series``,
 ``parse_series``, and the one lexer and reader behind ``maps.parse_map``.
@@ -441,7 +442,7 @@ def _scalars(acc: dict, den: int) -> dict:
 # composition
 
 
-def compose(f: Series, args, memo=None) -> Series:
+def compose(f: Series, args, table=None) -> Series:
     """Substitute args[j] for variable j of f, truncating throughout.
 
     Parameters
@@ -450,170 +451,150 @@ def compose(f: Series, args, memo=None) -> Series:
     args : sequence of k Series, all in the same ring (n variables, same
         truncation degree), which need not be constant-free: substitution
         into a truncated series is a finite exact sum.
-    memo : dict, optional
-        Cache of monomial values keyed by the packed monomial of f's ring;
-        pass the same dict across several compositions with identical
-        args and outer series of one ring to share the work (map
-        composition does this per component, and a caller may share one
-        memo across several map compositions with one inner map).  A
-        memo records the args it was built for; reusing it with args
-        that differ from them raises ValueError.
+    table : Table, optional
+        The substitution table of args.  Pass one table to several
+        compositions with these args and outer series of one ring to
+        share the monomial values, as map composition does per component.
+        A table built for other series raises ValueError, and so does a
+        growing table that does not know every degree through N.
 
     Returns
     -------
-    Series in n variables.
-
-    Notes
-    -----
-    The memo also holds the args as numerator rows over one denominator
-    D, and the value of a monomial of degree d as numerators over D**d.
-    The sum of c_e * value(e) is formed over lcm(den c_e) * D**top, top
-    the highest degree in f.
+    Series in n variables: c_e times every chunk of g^e, summed over the
+    monomials e of f in one accumulator and reduced once.
     """
     k = f.nvars
     if len(args) != k:
         raise TruncationMismatch(f"need {k} substitution series, got {len(args)}")
-    proto = args[0]
-    for g in args[1:]:
-        proto._check(g)
-    n, N = proto.nvars, proto.trunc
+    args = tuple(args)
+    if table is None:
+        table = Table(args)
+    elif table.degree < table.trunc:
+        raise ValueError(f"table knows degree {table.degree}, too low for all of f")
+    elif table._inner() != args:
+        raise ValueError("table was built for other substitution series")
+    n, N = table.nvars, table.trunc
     if f.trunc != N:
         raise TruncationMismatch(
             f"outer series has N={f.trunc}, substitutions have N={N}"
         )
-    if memo is None:
-        memo = {}
-    # the args' rows share the memo's lifetime; None is no monomial key
-    args = tuple(args)
-    prepared = memo.get(None)
-    if prepared is None:
-        D = lcm(*[_den(g._terms) for g in args])
-        prepared = memo[None] = (args, D, [_numerators(g._terms, D) for g in args])
-    elif prepared[0] != args:
-        raise ValueError("memo was built for other substitution series")
-    _, D, rows = prepared
-    unit, place, _ = _ring(k, N)
-    limit = _ring(n, N)[2]
-
     items = f._terms.items()
-    # min-degrees let us skip monomials whose value must vanish mod N; the
-    # rows are sorted, so each starts at its lowest key
-    unit_n = _ring(n, N)[0]
-    mins = [r[0][0] // unit_n if r else 0 for r in rows]
+    # min-degrees let us skip monomials whose value must vanish mod N
+    mins = table._low
     if max(mins) > 1:
         items = [
             (e, c) for e, c in items if sum(map(mul, _unpack(e, k, N + 1), mins)) <= N
         ]
     if not items:
         return _new(n, N, {})
-    top = max(e for e, _ in items) // unit
-    L = lcm(*[c._v[4] for _, c in items])
-    acc: dict = {}
-    for e, c in items:
-        p, q, r, s, m = c._v
-        u = L // m * D ** (top - e // unit)
-        v = _value(e, memo, rows, unit, place, limit)
-        _mul_into(acc, ((0, (p * u, q * u, r * u, s * u)),), v.items(), limit)
-    return _new(n, N, _scalars(acc, L * D**top))
+    return table._sum(items, None if table._step else (0,))
 
 
-def _value(e: int, memo: dict, rows, unit: int, place, limit: int) -> dict:
-    """The value of the monomial with packed key e under the substitution
-    rows, as raw numerators over D**deg(e), memoized.
-
-    A module function rather than a closure in ``compose``: a closure
-    that calls itself is a reference cycle, which would hold the memo
-    until the cyclic garbage collector ran.
-    """
-    got = memo.get(e)
-    if got is not None:
-        return got
-    if e == 0:
-        out = {0: (1, 0, 0, 0)}
-    else:
-        # peel one factor off the first variable present: the first
-        # place value the exponent digits below the degree reach
-        low, j = e % unit, 0
-        while low < place[j]:
-            j += 1
-        acc: dict = {}
-        parent = _value(e - unit - place[j], memo, rows, unit, place, limit)
-        _mul_into(acc, parent.items(), rows[j], limit)
-        out = {key: t for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
-    memo[e] = out
-    return out
+# the value of the constant monomial: 1 at key 0, over D**0
+_ONE = ((0, (1, 0, 0, 0)),)
 
 
-class DegreeTable:
-    """The substitution table of inner series solved one degree at a time.
+class Table:
+    """The substitution table of one inner map g = (g_1, ..., g_k).
 
-    A degree loop that solves its inner series g one homogeneous part per
-    step needs, at step d, only the degree-d part of f o g, and g has no
-    constant term, so a monomial of f of degree p reads the parts of g up
-    to degree d - p + 1 only.  The table keeps the value of each monomial
-    of f's ring by degree slice: slice s of g^e, |e| = p, is the sum over
-    m of slice s - m of g^(e - u_j) times g_j's degree-m part.  Once
-    computed a slice never changes, since later parts of g only reach
-    higher slices.
+    It keeps each g_j as numerator rows over one running denominator D,
+    and the value g^e of each monomial of the outer ring as numerators
+    over D**|e|, both by chunk of degrees.  g^e is g^(e - u_j) times g_j,
+    peeled off the first variable present, so chunk s of g^e sums chunk
+    s - m of the parent's value times chunk m of g_j (``_chunk``).
 
-    Every row and slice is kept over one running denominator D: g_j's
-    parts as numerator rows over D, a slice of g^e as numerators over
-    D**p.  When ``extend`` brings a part whose denominators do not divide
-    D, D becomes D * r, and every stored row is scaled by r and every
-    slice of a degree-p monomial by r**p.
+    ``Table(args)`` holds fixed inner series, which may have constant
+    terms or no linear part.  It knows every degree through N, and each
+    series and each value is one chunk, so a monomial costs one product
+    of its parent's value by g_j's rows.
 
-    ``linear`` holds the inner series' degree-1 parts, k Series in one
-    ring; ``extend`` adds the higher parts.
+    ``Table(linear, growing=True)`` holds inner series that a degree loop
+    solves one homogeneous part at a time (``maps.map_invert``, the
+    normal form's conjugator).  It knows their degree-1 parts, ``extend``
+    adds the next degree, and ``part(f, d)`` gives the degree-d part of
+    f o g.  Chunk s is degree s, so a new part changes no stored chunk.
+    When a part's denominators do not divide D, D becomes D * r, and
+    every stored row is scaled by r and every chunk of g^e by r**|e|.
     """
 
-    __slots__ = ("nvars", "trunc", "degree", "_den", "_rows", "_slices")
+    __slots__ = (
+        "nvars", "trunc", "degree", "_step", "_args", "_den", "_rows", "_values",
+        "_unit", "_place", "_limit", "_width", "_low",
+    )
 
-    def __init__(self, linear):
-        linear = tuple(linear)
-        self.nvars, self.trunc = linear[0].nvars, linear[0].trunc
-        self.degree, self._den = 0, 1
-        # _rows[j][m]: g_j's degree-m part as numerator rows over D
-        self._rows = [{} for _ in linear]
-        # _slices[e][s]: slice s of monomial e's value, over D**deg(e)
-        self._slices = {}
-        self.extend(linear, 1)
+    def __init__(self, args, growing: bool = False):
+        args = tuple(args)
+        n, N, k = args[0].nvars, args[0].trunc, len(args)
+        self.nvars, self.trunc = n, N
+        # the outer ring's degree unit and place values; the inner ring's
+        # key bound
+        self._unit, self._place, _ = _ring(k, N)
+        self._limit, self._width = _ring(n, N)[2], N + 1
+        # the lowest chunk of a degree-p value is _step * p
+        self._step = int(growing)
+        # _rows[j][m]: chunk m of g_j as numerator rows over D, sorted
+        self._rows = [{} for _ in args]
+        # _low[j]: the lowest degree of g_j, 0 while g_j is zero
+        self._low = [0] * k
+        # _values[e * (N + 1) + s]: chunk s of g^e as {key: numerators}
+        # over D**deg(e), for deg(e) >= 2
+        self._values = {}
+        # _args: one tuple of inner parts per chunk added; _inner sums them
+        self.degree, self._den, self._args = 0, 1, []
+        if growing:
+            self.extend(args, 1)
+        else:
+            self._add(args, 0)
+            self.degree = N
 
     def extend(self, parts, d: int) -> None:
-        """Add the inner series' degree-d parts, d one above the degree
-        known so far."""
+        """Add the inner series' degree-d parts to a growing table, d one
+        above the degree known so far."""
         if d != self.degree + 1 or d > self.trunc:
             raise ValueError(f"table knows degree {self.degree}; cannot add degree {d}")
         parts = tuple(parts)
         if len(parts) != len(self._rows):
             raise TruncationMismatch(f"need {len(self._rows)} parts, got {len(parts)}")
-        n, N = self.nvars, self.trunc
-        unit = _ring(n, N)[0]
+        self._add(parts, d)
+        self.degree = d
+
+    def _add(self, parts, m: int) -> None:
+        """Store chunk m of the inner series, over a D that the parts'
+        denominators divide."""
+        unit = _ring(self.nvars, self.trunc)[0]
         for g in parts:
-            if (g.nvars, g.trunc) != (n, N):
-                raise TruncationMismatch("part lies in another ring")
-            if not all(d * unit <= key < (d + 1) * unit for key in g._terms):
-                raise ValueError(f"part is not homogeneous of degree {d}")
+            if (g.nvars, g.trunc) != (self.nvars, self.trunc):
+                raise TruncationMismatch("substitution series lie in different rings")
+            if self._step and not all(m * unit <= key < (m + 1) * unit for key in g._terms):
+                raise ValueError(f"part is not homogeneous of degree {m}")
         D = lcm(self._den, *[_den(g._terms) for g in parts])
         if D != self._den:
             self._rescale(D // self._den)
             self._den = D
-        for rows, g in zip(self._rows, parts):
+        for j, g in enumerate(parts):
             if g._terms:
-                rows[d] = _numerators(g._terms, D)
-        self.degree = d
+                row = self._rows[j][m] = _numerators(g._terms, D)
+                self._low[j] = self._low[j] or row[0][0] // unit
+        self._args.append(parts)
 
     def _rescale(self, r: int) -> None:
         for rows in self._rows:
             for m, row in rows.items():
-                rows[m] = _scaled(row, r)
-        unit = _ring(len(self._rows), self.trunc)[0]
-        for e, slices in self._slices.items():
-            rp = r ** (e // unit)
-            for s, row in slices.items():
-                slices[s] = _scaled(row, rp)
+                rows[m] = [(key, (p * r, q * r, x * r, s * r)) for key, (p, q, x, s) in row]
+        for e, chunk in self._values.items():
+            rp = r ** (e // self._width // self._unit)
+            for key, (p, q, x, s) in chunk.items():
+                chunk[key] = (p * rp, q * rp, x * rp, s * rp)
+
+    def _inner(self) -> tuple:
+        """The inner series as far as the table knows them."""
+        if len(self._args) > 1:
+            self._args = [tuple(sum(cs[1:], cs[0]) for cs in zip(*self._args))]
+        return self._args[0]
 
     def part(self, f: Series, d: int) -> Series:
-        """The degree-d part of f o inner, a Series in the inner ring.
+        """The degree-d part of f o inner on a growing table, a Series in
+        the inner ring.
 
         A monomial of f of degree p reads the inner parts up to degree
         d - p + 1; one the table does not know yet raises ValueError."""
@@ -622,55 +603,61 @@ class DegreeTable:
             raise TruncationMismatch(
                 f"outer series has (n={f.nvars}, N={f.trunc}), table needs (n={k}, N={N})"
             )
-        n = self.nvars
-        unit = _ring(k, N)[0]
+        if not self._step:
+            raise ValueError("a table of fixed inner series has no degree parts")
+        unit = self._unit
         items = [(e, c) for e, c in f._terms.items() if e and e // unit <= d]
         if not items:
-            return _new(n, N, {})
+            return _new(self.nvars, N, {})
         if d - min(e for e, _ in items) // unit >= self.degree:
             raise ValueError(f"table knows degree {self.degree}, too low for degree {d}")
-        D = self._den
+        return self._sum(items, (d,))
+
+    def _sum(self, items, chunks) -> Series:
+        """The sum of c times the given chunks of g^e over the (e, c) in
+        items, reduced once; chunks None is every chunk of a growing
+        table."""
+        D, unit, N, limit = self._den, self._unit, self.trunc, self._limit
         top = max(e for e, _ in items) // unit
         L = lcm(*[c._v[4] for _, c in items])
         acc: dict = {}
-        limit = _ring(n, N)[2]
         for e, c in items:
-            row = self._slice(e, d, unit)
-            if row:
-                p, q, r, s, m = c._v
-                u = L // m * D ** (top - e // unit)
-                _mul_into(acc, ((0, (p * u, q * u, r * u, s * u)),), row, limit)
-        return _new(n, N, _scalars(acc, L * D**top))
+            p, q, r, s, m = c._v
+            u = L // m * D ** (top - e // unit)
+            head = ((0, (p * u, q * u, r * u, s * u)),)
+            for chunk in chunks or range(e // unit, N + 1):
+                value = self._chunk(e, chunk)
+                if value:
+                    _mul_into(acc, head, value, limit)
+        return _new(self.nvars, self.trunc, _scalars(acc, L * D**top))
 
-    def _slice(self, e: int, s: int, unit: int) -> list:
-        """Slice s of the value of the monomial with packed key e, as
-        numerator rows over D**deg(e), memoized."""
-        p = e // unit
-        place = _ring(len(self._rows), self.trunc)[1]
-        # peel one factor off the first variable present, as _value does
+    def _chunk(self, e: int, s: int):
+        """Chunk s of g^e, e a packed monomial of the outer ring, as
+        (key, numerators) pairs over D**deg(e), memoized."""
+        key = e * self._width + s
+        got = self._values.get(key)
+        if got is not None:
+            return got.items()
+        if e == 0:
+            return _ONE if s == 0 else ()
+        unit, place = self._unit, self._place
+        # peel one factor off the first variable present: the first
+        # place value the exponent digits below the degree reach
         low, j = e % unit, 0
         while low < place[j]:
             j += 1
-        rows = self._rows[j]
-        if p == 1:
+        rows, parent = self._rows[j], e - unit - place[j]
+        if not parent:
             return rows.get(s, ())
-        slices = self._slices.setdefault(e, {})
-        got = slices.get(s)
-        if got is None:
-            parent = e - unit - place[j]
-            acc: dict = {}
-            limit = _ring(self.nvars, self.trunc)[2]
-            for m in range(1, s - p + 2):
-                row = rows.get(m)
-                head = self._slice(parent, s - m, unit) if row else None
-                if head:
-                    _mul_into(acc, head, row, limit)
-            got = slices[s] = [(key, t) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]]
-        return got
-
-
-def _scaled(rows: list, r: int) -> list:
-    return [(key, (p * r, q * r, x * r, s * r)) for key, (p, q, x, s) in rows]
+        acc: dict = {}
+        step = self._step
+        for m in range(step, s - step * (e // unit - 1) + 1):
+            row = rows.get(m)
+            head = self._chunk(parent, s - m) if row else None
+            if head:
+                _mul_into(acc, head, row, self._limit)
+        got = self._values[key] = {k: t for k, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
+        return got.items()
 
 
 # ---------------------------------------------------------------------------

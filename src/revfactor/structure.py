@@ -33,7 +33,7 @@ from math import gcd
 from operator import mul
 
 from .scalars import ONE, Scalar, root_of_unity_order, scalar
-from .series import Series, TruncationMismatch, compose
+from .series import Series, Table, TruncationMismatch, compose
 from .maps import FormalMap, Matrix
 
 
@@ -303,12 +303,12 @@ def make_centralizer(phi, psi: Series | None = None) -> FormalMap:
             raise TruncationMismatch("last-component data must match units")
         _check_admissible(psi, expected_vars - 1)
         args.append(Series.variable(n, N, n - 1))
-    memo: dict = {}
+    table = Table(args)
     comps = []
     for j, s in enumerate(phi):
-        comps.append(compose(s, args, memo).shift_up(j))
+        comps.append(compose(s, args, table).shift_up(j))
     if psi is not None:
-        comps.append(compose(psi, args, memo))
+        comps.append(compose(psi, args, table))
     return FormalMap(comps)
 
 

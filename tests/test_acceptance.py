@@ -9,7 +9,7 @@ import random
 import time
 
 from revfactor.scalars import ONE, R3, Scalar, scalar
-from revfactor.series import Series, compose
+from revfactor.series import Series, Table, compose
 from revfactor.maps import (
     FormalMap,
     Matrix,
@@ -334,9 +334,9 @@ def test_criterion_6_structural_exactness():
             F = _member(n, N, rng)
             chi = project_base(F)
             # the projection semiconjugates F to its base map
-            memo, memo2 = {}, {}
-            left = [compose(c, F.comps, memo) for c in pi]
-            right = [compose(c, pi, memo2) for c in chi.comps]
+            table, table2 = Table(F.comps), Table(pi)
+            left = [compose(c, F.comps, table) for c in pi]
+            right = [compose(c, pi, table2) for c in chi.comps]
             assert left == right
             # the section is a right inverse on canonical base data
             assert project_base(lift_section(chi, n)) == chi
@@ -382,8 +382,8 @@ def test_criterion_6_structural_exactness():
 
 
 def _compose_units(phi, phi2, chi2):
-    memo = {}
-    return tuple(p2 * compose(p, chi2.comps, memo) for p, p2 in zip(phi, phi2))
+    table = Table(chi2.comps)
+    return tuple(p2 * compose(p, chi2.comps, table) for p, p2 in zip(phi, phi2))
 
 
 def test_criterion_7_composition_laws():

@@ -949,6 +949,11 @@ PINNED_CERTIFICATES = [
      "ba040c75745eaf36432af91e156944878c920af103c5d4412eac9b406987e50c"),
     ("inv-n4-jordan", "involutive", "map n=4 N=4 { comp1: { [1,0,0,0]: 2 ; [0,1,0,0]: 1 } ; comp2: { [0,1,0,0]: 2 ; [0,0,1,0]: 1 ; [1,1,1,0]: 3 } ; comp3: { [0,0,1,0]: 1 ; [0,0,0,1]: 1 } ; comp4: { [0,0,0,1]: 1/4 ; [0,2,0,1]: 1 } }",
      "ec6198f278b42d9f61bea89878d49316fc74eda9d6d89a4e551f5a12f91ff5bd"),
+    # deep denominators: factor and witness denominators reach 200 bits
+    ("rev-n4-jordan-N5", "reversible", "map n=4 N=5 { comp1: { [1,0,0,0]: 2 ; [0,1,0,0]: 1 } ; comp2: { [0,1,0,0]: 2 ; [0,0,1,0]: 1 ; [1,1,1,0]: 3 } ; comp3: { [0,0,1,0]: 1 ; [0,0,0,1]: 1 } ; comp4: { [0,0,0,1]: 1/4 ; [0,2,0,1]: 1 } }",
+     "a578b63e9b6c9d20797e05af2c7873209697929edcee215f5ac345d5285f7afb"),
+    ("inv-n4-jordan-N5", "involutive", "map n=4 N=5 { comp1: { [1,0,0,0]: 2 ; [0,1,0,0]: 1 } ; comp2: { [0,1,0,0]: 2 ; [0,0,1,0]: 1 ; [1,1,1,0]: 3 } ; comp3: { [0,0,1,0]: 1 ; [0,0,0,1]: 1 } ; comp4: { [0,0,0,1]: 1/4 ; [0,2,0,1]: 1 } }",
+     "ff02b8ec161629128a01f6755d0d8bb990527b1e8051df9b8f49bdcc930f495a"),
 ]
 
 

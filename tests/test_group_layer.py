@@ -14,7 +14,7 @@ from revfactor.maps import (
 )
 from revfactor.normalform import Witness, poincare_dulac, verify_witness
 from revfactor.scalars import ONE, scalar
-from revfactor.series import DegreeTable, Series
+from revfactor.series import Series, Table
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def test_degree_table_part_is_the_slice_of_the_full_composite(pair):
     nonlinear part of F before G's degree-d part arrives, all of F after."""
     F, G = pair
     full = map_compose(F, G)
-    table = DegreeTable(G.homogeneous_part(1).comps)
+    table = Table(G.homogeneous_part(1).comps, growing=True)
     high = [c - c.homogeneous_component(1) for c in F.comps]
     for d in range(1, F.trunc + 1):
         want = full.homogeneous_part(d)

@@ -20,7 +20,7 @@ from revfactor.maps import (
     map_invert,
     parse_map,
 )
-from revfactor.series import Series, SeriesFormatError, TruncationMismatch, compose
+from revfactor.series import Series, SeriesFormatError, Table, TruncationMismatch, compose
 
 
 def lin1(coeffs, trunc=4):
@@ -250,8 +250,8 @@ def test_dress_matches_compose_then_invert(case):
 @settings(max_examples=40, deadline=None)
 def test_one_table_serves_every_outer_map(case):
     Fs, G = case
-    memo: dict = {}
-    assert [map_compose(F, G, memo) for F in Fs] == [map_compose(F, G) for F in Fs]
+    table = Table(G.comps)
+    assert [map_compose(F, G, table) for F in Fs] == [map_compose(F, G) for F in Fs]
 
 
 def _fractions(F):
@@ -309,13 +309,13 @@ def test_compose_and_invert_match_the_substitution_oracle(case):
 def test_a_table_refuses_another_inner_map():
     F = FormalMap([Series(2, 4, {(1, 0): 1, (1, 1): 2}), Series(2, 4, {(0, 1): 1})])
     G = FormalMap([Series(2, 4, {(1, 0): 1, (0, 2): 3}), Series(2, 4, {(0, 1): -1})])
-    memo: dict = {}
-    first = map_compose(F, G, memo)
+    table = Table(G.comps)
+    first = map_compose(F, G, table)
     # an equal copy of G is the same inner map
-    assert map_compose(F, parse_map(format_map(G)), memo) == first
+    assert map_compose(F, parse_map(format_map(G)), table) == first
     for other in (F, map_compose(G, G)):
         with pytest.raises(ValueError, match="other substitution series"):
-            map_compose(F, other, memo)
+            map_compose(F, other, table)
     with pytest.raises(ValueError, match="other substitution series"):
-        compose(F.comps[0], F.comps, memo)
+        compose(F.comps[0], F.comps, table)
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from revfactor.maps import FormalMap, format_map, parse_map
 from revfactor.scalars import Scalar, ScalarFormatError, rat
 from revfactor.series import (
-    DegreeTable,
     Series,
     SeriesFormatError,
+    Table,
     TruncationMismatch,
     compose,
     format_series,
@@ -300,13 +300,13 @@ def test_compose_over_coprime_denominators_shares_one_memo(ring, k, data):
     n, N = ring
     args = [data.draw(substitutions(n, N)) for _ in range(k)]
     sargs = [Series(n, N, g) for g in args]
-    # several outer series, each with a constant term, share one memo as
+    # several outer series, each with a constant term, share one table as
     # the components of a map composite do
-    memo = {}
+    table = Table(sargs)
     for _ in range(data.draw(st.integers(1, 3))):
         f = data.draw(series_in(k, N, coeffs=big_coeffs))
         f[(0,) * k] = data.draw(big_coeffs)
-        got = compose(Series(k, N, f), sargs, memo)
+        got = compose(Series(k, N, f), sargs, table)
         assert dict(got.coeffs) == ref_compose(_nonzero(f), args, n, N)
 
 
@@ -314,13 +314,14 @@ def test_compose_over_coprime_denominators_shares_one_memo(ring, k, data):
 @given(rings(), st.integers(1, 3), st.data())
 def test_degree_table_over_coprime_denominators_matches_the_reference(ring, k, data):
     # the args arrive one degree at a time, and a part over a new prime
-    # rescales every stored row and slice
+    # rescales every stored row and chunk; once the table knows degree N,
+    # compose evaluates on its one-degree chunks
     n, N = ring
     args = [data.draw(series_in(n, N, low=1, coeffs=big_coeffs)) for _ in range(k)]
     sargs = [Series(n, N, g) for g in args]
     outer = [data.draw(series_in(k, N, low=1, coeffs=big_coeffs)) for _ in range(2)]
     want = [ref_compose(_nonzero(f), args, n, N) for f in outer]
-    table = DegreeTable([g.homogeneous_component(1) for g in sargs])
+    table = Table([g.homogeneous_component(1) for g in sargs], growing=True)
     for d in range(1, N + 1):
         if d > 1:
             table.extend([g.homogeneous_component(d) for g in sargs], d)
@@ -328,14 +329,16 @@ def test_degree_table_over_coprime_denominators_matches_the_reference(ring, k, d
             got = table.part(Series(k, N, f), d)
             assert (got.nvars, got.trunc) == (n, N)
             assert dict(got.coeffs) == {e: v for e, v in ref.items() if sum(e) == d}
+    for f, ref in zip(outer, want):
+        assert dict(compose(Series(k, N, f), sargs, table).coeffs) == ref
 
 
 def test_degree_table_refuses_what_it_does_not_know():
     x, y = Series.variable(2, 4, 0), Series.variable(2, 4, 1)
-    table = DegreeTable([x, y])
+    table = Table([x, y], growing=True)
     for linear in ([x + 1, y], [x * y, y]):
         with pytest.raises(ValueError, match="not homogeneous of degree 1"):
-            DegreeTable(linear)
+            Table(linear, growing=True)
     # a linear monomial of the outer series reads the args' degree-2 part
     with pytest.raises(ValueError, match="too low"):
         table.part(x + x * y, 2)
@@ -346,6 +349,9 @@ def test_degree_table_refuses_what_it_does_not_know():
         table.extend([x * x + x * x * x, Series.zero(2, 4)], 2)
     with pytest.raises(TruncationMismatch):
         table.part(Series.variable(3, 4, 0), 2)
+    # a full evaluation reads every degree through N
+    with pytest.raises(ValueError, match="too low"):
+        compose(x * y, [x, y], table)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revfactor.scalars import Scalar, scalar
-from revfactor.series import Series, compose
+from revfactor.series import Series, Table, compose
 from revfactor.maps import FormalMap, map_compose, map_invert, conjugate
 from revfactor.structure import (
     GenericityReport,
@@ -359,10 +359,10 @@ def test_projection_is_homomorphism_and_semiconjugacy():
         # canonicalization needed)
         pi = pair_projection(n, 5)
         chi = project_base(F)
-        memo = {}
-        left = [compose(c, F.comps, memo) for c in pi]
-        memo2 = {}
-        right = [compose(c, pi, memo2) for c in chi.comps]
+        table = Table(F.comps)
+        left = [compose(c, F.comps, table) for c in pi]
+        table2 = Table(pi)
+        right = [compose(c, pi, table2) for c in chi.comps]
         assert left == right
 
 
@@ -443,9 +443,9 @@ def test_split_rejects_non_member():
 
 def _compose_units(phi, phi2, chi2):
     """Pointwise law: (phi'' )_j = phi2_j * (phi_j o chi2)."""
-    memo = {}
+    table = Table(chi2.comps)
     return tuple(
-        p2 * compose(p, chi2.comps, memo) for p, p2 in zip(phi, phi2)
+        p2 * compose(p, chi2.comps, table) for p, p2 in zip(phi, phi2)
     )
 
 
