@@ -5,31 +5,29 @@ The multiplier (linear coefficient) of the maps we split is 1 or -1;
 those are the only values that can appear at the bottom of the pair
 recursion.
 
-The common engine is a degree-by-degree solver for coefficient
-equations.  Tangent functional equations have no eigenvalue separation,
-so instead of dividing by multiplier differences we *probe*: each
-unknown coefficient enters the first equation it influences affinely,
-and we detect that influence numerically rather than symbolically.
+Conjugacy is solved degree by degree (``conjugate_to``).  Tangent
+functional equations have no eigenvalue separation: one equation may
+move several unknowns, some of them only nonlinearly.  The solver reads
+each unknown's influence off Taylor's formula for g(h + p t^k), from one
+composite of g and of its derivatives with h per degree, and takes an
+unknown only where its influence is affine.
 
-The solver works on degree slices: the equation at degree d is built
-from maps truncated at d, since the degree-d coefficient of a composite
-or an inverse depends only on the parts of degree <= d.  Each unknown
-sits in a slot of known degree and cannot move any coefficient below
-it, so at degree d only the unknowns with slots at or below d are
-probed.
-
-The order-four reversed family needs no probing: its defining equation
-is triangular, and ``quarter_family`` solves it one coefficient at a
-time.  Nor does the quadratic dress that flattens the quartic slot of a
-cubic-led map, which has a closed form.
+The order-four reversed family is solved directly: its defining
+equation is triangular, and ``quarter_family`` solves it one
+coefficient at a time; its member for -c is the inverse of its member
+for c.  The quadratic-led split peels that family's member for the
+cubic invariant, and the quadratic dress that flattens the quartic slot
+of a cubic-led map has a closed form.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .maps import FormalMap, dress, is_involution, map_compose, map_invert
 from .normalform import Obstruction, Witness, verify_witness
 from .scalars import ONE, ZERO, Scalar, rat, reverser_seeds, scalar
-from .series import Series, Table
+from .series import Series, Table, compose
 
 I_UNIT = Scalar(0, 1)
 
@@ -94,75 +92,7 @@ def theta_invariant(g: FormalMap) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# the degree-by-degree probe solver
-
-def _slices(F: FormalMap) -> list:
-    """F truncated at each degree d = 0..N, as entry d (entry 0 unused)."""
-    return [None] + [F.truncate(d) for d in range(1, F.trunc + 1)]
-
-
-def _solve_degreewise(build, slots, N: int):
-    """Drive the coefficients of build(params, d) in degrees 2..N to zero.
-
-    build(params, d) returns a one-variable Series truncated at d, and
-    slots[i] is the lowest degree parameter i can move.  Parameters start
-    at zero; at each degree d the first free parameter that moves the
-    degree-d coefficient (and whose affine estimate actually clears it)
-    is consumed.  A parameter whose slot lies above d would show a slope
-    of exactly zero, so it is not probed there.  Parameters never
-    consumed stay zero -- in a staggered system those are genuine free
-    choices.  The solved parameter list is re-verified on build(params,
-    N) at the end, so a non-None return is a checked solution.
-    """
-    params = [ZERO] * len(slots)
-    free = list(range(len(slots)))
-    for d in range(2, N + 1):
-        base = build(params, d).coefficient((d,))
-        if base.is_zero():
-            continue
-        solved = False
-        # Highest index first: a parameter's first (affine) influence
-        # degree grows with its index, so at degree d the genuine unknown
-        # is the highest-indexed one that moves the coefficient.  Lower
-        # indices only echo nonlinearly; the two-point probe rejects them.
-        for idx in reversed(free):
-            if slots[idx] > d:
-                continue
-            probe = list(params)
-            probe[idx] = probe[idx] + ONE
-            v1 = build(probe, d).coefficient((d,))
-            slope = v1 - base
-            if slope.is_zero():
-                continue
-            probe[idx] = probe[idx] + ONE
-            if build(probe, d).coefficient((d,)) - v1 != slope:
-                continue
-            cand = list(params)
-            cand[idx] = params[idx] - base / slope
-            if build(cand, d).coefficient((d,)).is_zero():
-                params = cand
-                free.remove(idx)
-                solved = True
-                break
-        if not solved:
-            return Obstruction(
-                d, 1, (d,), base, ZERO,
-                "no free coefficient controls this degree",
-            )
-    final = build(params, N)
-    for d in range(2, N + 1):
-        v = final.coefficient((d,))
-        if not v.is_zero():
-            return Obstruction(d, 1, (d,), v, ZERO, "solution failed recheck")
-    return params
-
-
-def _dressing(c: Scalar, params, N: int) -> FormalMap:
-    data = {1: c}
-    for k, v in enumerate(params, start=2):
-        data[k] = v
-    return poly1(data, N)
-
+# conjugacy, degree by degree
 
 def reverser_search(g: FormalMap, seeds=None):
     """Search for h with h^-1 g h = g^-1, one linear seed at a time.
@@ -198,21 +128,62 @@ def reverser_search(g: FormalMap, seeds=None):
 
 
 def conjugate_to(g: FormalMap, target: FormalMap, c=ONE):
-    """h with h^-1 o g o h == target (multiplier of h is c), or None."""
+    """h with h^-1 o g o h == target (multiplier of h is c), or None.
+
+    Solves g o h = h o T, T the target, degree by degree for
+    h = c t + sum_k p_k t^k.  While p_k is free (zero), the degree-d
+    coefficient of g o h - h o T is a polynomial in it,
+
+        E_d(p) = base + sum_j a_j p^j,   a_1 = [g' o h]_(d-k) - [T^k]_d,
+        a_j = [(g^(j)/j!) o h]_(d-jk) for j >= 2 (zero unless jk <= d),
+
+    by Taylor's formula for g(h + p t^k).  The free unknowns with k <= d
+    are tried highest first: the one a degree genuinely solves for is the
+    highest that moves it, and lower ones only echo nonlinearly.  One is
+    taken when E_d is affine in it as far as the two points p = 1, 2 show
+    (a nonzero slope sum_j a_j, and sum_j a_j (2^j - 2) = 0) and the root
+    -base/slope clears E_d.  Unknowns never taken stay zero: in a
+    staggered system those are free choices.  The solution is rechecked
+    on the whole equation.
+    """
     N = g.trunc
-    c = scalar(c)
-    gs, ts = _slices(g), _slices(target)
-    # one substitution table per slice of the target serves every probe
-    tables = [None] + [Table(t.comps) for t in ts[1:]]
+    gc = [coeff(g, m) for m in range(N + 1)]
+    # [T^k]_d is powers[k].coefficient((d,))
+    T = Table(target.comps)
+    powers = {k: compose(Series(1, N, {(k,): ONE}), target.comps, T) for k in range(1, N + 1)}
+    p = {1: scalar(c)}
+    free = list(range(2, N + 1))
+    for d in range(2, N + 1):
+        h = poly1(p, d).comps
+        table, taylor = Table(h), {}
 
-    def build(params, d):
-        h = _dressing(c, params, d)
-        return map_compose(gs[d], h).comps[0] - map_compose(h, ts[d], tables[d]).comps[0]
+        def at(j, e):
+            # [t^e] of (g^(j)/j!) o h, each composite built once per degree
+            if j not in taylor:
+                gj = {(m,): comb(m + j, j) * gc[m + j] for m in range(min(d, N - j) + 1)}
+                taylor[j] = compose(Series(1, d, gj), h, table)
+            return taylor[j].coefficient((e,))
 
-    sol = _solve_degreewise(build, range(2, N + 1), N)
-    if isinstance(sol, Obstruction):
-        return None
-    return _dressing(c, sol, N)
+        base = at(0, d) - sum((v * powers[k].coefficient((d,)) for k, v in p.items()), ZERO)
+        if base.is_zero():
+            continue
+        for k in reversed([k for k in free if k <= d]):
+            a = [at(1, d - k) - powers[k].coefficient((d,))]
+            a += [at(j, d - j * k) for j in range(2, d // k + 1)]
+            slope = sum(a, ZERO)
+            # E(2) - 2 E(1) + E(0), zero where E is affine
+            bend = sum((x * (2**j - 2) for j, x in enumerate(a, 1)), ZERO)
+            if slope.is_zero() or not bend.is_zero():
+                continue
+            delta = -base / slope
+            if (base + sum(x * delta**j for j, x in enumerate(a, 1))).is_zero():
+                p[k] = delta
+                free.remove(k)
+                break
+        else:
+            return None
+    h = poly1(p, N)
+    return h if map_compose(g, h) == map_compose(h, target) else None
 
 
 def mobius_witness(g: FormalMap):
@@ -246,6 +217,10 @@ def quarter_family(c, N: int) -> FormalMap:
     others are 0, as are the even slots.  B grows on one
     growing ``Table``.  A is checked against the witness equation
     A o h o A = h before it is returned.
+
+    The inverse of A is B, and B is this family's member for -c: the
+    slots k = 1 mod 4 carry c^((k-1)/2) with (k-1)/2 even, so they do not
+    see the sign of c.  No caller needs ``map_invert`` for a member.
     """
     c = scalar(c)
     data = {1: ONE, 3: c}
@@ -270,56 +245,35 @@ def quarter_witness(N: int) -> Witness:
 
 def _class_member(c3: Scalar, c4: Scalar, N: int):
     """The order-four reversed map with prescribed cubic and quartic
-    coefficients, plus its witness.  A quadratic dress of the odd family
-    tunes the quartic slot; the quintic coefficient is then forced."""
-    A = quarter_family(c3, N)
+    coefficients, its inverse and its witness.  A quadratic dress of the
+    odd family tunes the quartic slot; the quintic coefficient is then
+    forced."""
+    A, Ainv = quarter_family(c3, N), quarter_family(-c3, N)
     if c4.is_zero():
-        return A, quarter_witness(N)
+        return A, Ainv, quarter_witness(N)
     v = poly1({1: ONE, 2: c4 / c3}, N)
-    A, h = dress([A, quarter_turn(N)], v, map_invert(v))
-    return A, Witness("reverser", h, N)
+    A, Ainv, h = dress([A, Ainv, quarter_turn(N)], v, map_invert(v))
+    return A, Ainv, Witness("reverser", h, N)
 
 
 # ---------------------------------------------------------------------------
 # splitting into at most two reversible factors
 
 def _p1_split(g: FormalMap):
-    """Quadratic-led tangent map as (homography class) o (order-four class)."""
+    """Quadratic-led tangent map as (homography class) o (order-four class).
+
+    The order-four factor A = quarter_family(theta) carries the cubic
+    invariant theta of g.  The invariant is additive, so the cofactor
+    G = g o A^-1 has invariant zero and keeps g's quadratic term: it lies
+    in the homography class, and ``mobius_witness`` reverses it.
+    """
     N = g.trunc
-    gs, fs = _slices(g), _slices(mobius(coeff(g, 2), N))
-    tables = [None] + [Table(t.comps) for t in gs[1:]]
-    unit = quarter_family(ONE, N)
-
-    def family(c, d):
-        # t -> a t with a^2 = c conjugates the c = 1 member to the one
-        # with cubic coefficient c; the family is odd, so its degree-k
-        # coefficient scales by c^((k-1)/2) and no root is taken
-        return poly1({k: coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, d + 1, 2)}, d)
-
-    # g = s o f o s^-1 o A is solved as u o g = f o u o A for u = s^-1,
-    # which needs no inverse per probe
-    def build(params, d):
-        u, A = _dressing(ONE, [ZERO] + params[1:], d), family(params[0], d)
-        return (
-            map_compose(u, gs[d], tables[d]).comps[0]
-            - map_compose(fs[d], map_compose(u, A)).comps[0]
-        )
-
-    # params[0] is the family's cubic coefficient; the rest fill u from
-    # degree 3 up
-    sol = _solve_degreewise(build, [3] + list(range(3, N)), N)
-    if isinstance(sol, Obstruction):  # pragma: no cover - always solvable
-        raise AssertionError(f"quadratic-led split failed: {sol.note}")
-    s = map_invert(_dressing(ONE, [ZERO] + sol[1:], N))
-    # the solve fixes s below degree N only; F does not see its degree-N
-    # coefficient, but at even N the witness s o flip o s^-1 does: zero
-    # it, and add it to u so that u stays the inverse of s
-    top = coeff(s, N)
-    s = _dressing(ONE, [coeff(s, k) for k in range(2, N)], N)
-    u = _dressing(ONE, [ZERO] + sol[1:] + [top], N)
-    F, h = dress([fs[N], flip(N)], s, u)
-    A = quarter_family(sol[0], N)
-    parts = [(F, Witness("involutive_reverser", h, N)), (A, quarter_witness(N))]
+    th = theta_invariant(g)
+    G = map_compose(g, quarter_family(-th, N))
+    wG = mobius_witness(G)
+    if wG is None:  # pragma: no cover - invariant is additive
+        raise AssertionError("quadratic-led cofactor lost the homography class")
+    parts = [(G, wG), (quarter_family(th, N), quarter_witness(N))]
     return [(m, w) for m, w in parts if not m.is_identity()]
 
 
@@ -348,8 +302,8 @@ def _p2_split(g: FormalMap):
             s = scalar(2)
         x = delta * a / (a * s * s + delta)
         y = s * x
-    F, wF = _class_member(x, y, N)
-    G = map_compose(map_invert(F), gt)
+    F, Finv, wF = _class_member(x, y, N)
+    G = map_compose(Finv, gt)
     wG = reverser_search(G, seeds=(I_UNIT, -I_UNIT))
     if wG is None:  # pragma: no cover - invariant bookkeeping guarantees it
         raise AssertionError("cofactor left the order-four class")
@@ -419,11 +373,12 @@ def _flip_split(g: FormalMap):
     c = theta_invariant(g)
     u2 = ZERO if not coeff(g, 2).is_zero() else rat(1, 2)
     core = map_compose(flip(N), quarter_family(c, N))
+    core_inv = map_compose(quarter_family(-c, N), flip(N))
     for _ in range(3):
         u = poly1({1: ONE, 2: u2}, N)
         uinv = map_invert(u)
-        R = dress([core], u, uinv)[0]
-        B = map_compose(map_invert(R), g)
+        R, Rinv = dress([core, core_inv], u, uinv)
+        B = map_compose(Rinv, g)
         if B.is_identity() or not coeff(B, 2).is_zero():
             break
         u2 = u2 + ONE

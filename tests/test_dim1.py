@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from revfactor import dim1, maps
 from revfactor.dim1 import (
     coeff,
+    conjugate_to,
     flip,
     involution_pair,
     mobius,
@@ -30,7 +31,7 @@ from revfactor.maps import (
     map_invert,
 )
 from revfactor.normalform import Obstruction, Witness, verify_witness
-from revfactor.scalars import ONE, ZERO, Scalar, scalar
+from revfactor.scalars import ONE, ZERO, Scalar, reverser_seeds, scalar
 from revfactor.series import Series
 
 
@@ -240,11 +241,16 @@ def test_random_tangent_splits_degree_8(cs):
         assert verify_witness(m, w)
 
 
-# -- the sliced solver and the direct family solve ---------------------------
+# -- the direct solves against the probe solver ------------------------------
 
-def _solve_reference(build, nparams, N, start=2):
-    """The probe solver before degree slices: every build is a whole
-    degree-N map, and every free parameter is probed at every degree."""
+def _solve_reference(build, nparams, N, start=2, log=None):
+    """The probe solver: drive the coefficients of build(params) in degrees
+    start..N to zero, params starting at zero.  At each degree the free
+    parameters are probed highest index first, at +1 and +2, and the
+    first whose two steps agree (affine) and whose affine root clears the
+    coefficient is consumed.  Every build is a whole degree-N map.  When
+    ``log`` is a list, it gets ("non-affine", d, idx) for each probe whose
+    two steps disagree and ("taken", d, idx) for each parameter consumed."""
     params = [ZERO] * nparams
     free = list(range(nparams))
     for d in range(start, N + 1):
@@ -261,10 +267,14 @@ def _solve_reference(build, nparams, N, start=2):
                 continue
             probe[idx] = probe[idx] + ONE
             if build(probe).coefficient((d,)) - v1 != slope:
+                if log is not None:
+                    log.append(("non-affine", d, idx))
                 continue
             cand = list(params)
             cand[idx] = params[idx] - base / slope
             if build(cand).coefficient((d,)).is_zero():
+                if log is not None:
+                    log.append(("taken", d, idx))
                 params = cand
                 free.remove(idx)
                 solved = True
@@ -282,9 +292,20 @@ def _solve_reference(build, nparams, N, start=2):
     return params
 
 
-def _full_n_solver(build, slots, N):
-    """The reference behind the sliced solver's interface."""
-    return _solve_reference(lambda params: build(params, N), len(slots), N)
+def _conjugate_to_reference(g, target, c=ONE, log=None):
+    """conjugate_to as the probe solver finds h = c t + sum_k p_k t^k from
+    g o h = h o target; parameter idx is p_(idx + 2)."""
+    N = g.trunc
+
+    def member(params):
+        return poly1({1: c, **dict(enumerate(params, start=2))}, N)
+
+    def build(params):
+        h = member(params)
+        return map_compose(g, h).comps[0] - map_compose(h, target).comps[0]
+
+    sol = _solve_reference(build, N - 1, N, log=log)
+    return None if isinstance(sol, Obstruction) else member(sol)
 
 
 def _quarter_family_reference(c, N):
@@ -323,6 +344,8 @@ def test_quarter_family_solves_its_equation_and_scales(c, N):
         coeff(A, k) == coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, N + 1)
     )
     assert A == _quarter_family_reference(c, N)
+    # the member for -c is the inverse
+    assert map_compose(A, quarter_family(-c, N)).is_identity()
 
 
 def _quartic_flattening_reference(g):
@@ -370,29 +393,29 @@ def test_quartic_flattening_matches_the_probe_solve(g):
 
 
 def _p1_split_reference(g):
-    """The quadratic-led split as the probe solve on s itself: every build
-    dresses the homography as s o f o s^-1, inverting s."""
+    """The quadratic-led split as the probe solve for the family's cubic
+    coefficient c and the dressing s of the homography f: every build
+    dresses f as s o f o s^-1, inverting s."""
     N = g.trunc
-    gs, fs = dim1._slices(g), dim1._slices(mobius(coeff(g, 2), N))
-    unit = quarter_family(ONE, N)
-
-    def family(c, d):
-        return poly1({k: coeff(unit, k) * c ** ((k - 1) // 2) for k in range(1, d + 1, 2)}, d)
+    f = mobius(coeff(g, 2), N)
 
     def dressed(F, s):
         # through the module, so that _counted sees it
         return map_compose(map_compose(s, F), maps.map_invert(s))
 
-    def build(params, d):
-        s = dim1._dressing(ONE, [ZERO] + params[1:], d)
-        return gs[d].comps[0] - map_compose(dressed(fs[d], s), family(params[0], d)).comps[0]
+    def dressing(params):
+        # params[0] is c; the rest fill s from degree 3 up
+        return poly1({1: ONE, **dict(enumerate(params[1:], start=3))}, N)
 
-    sol = dim1._solve_degreewise(build, [3] + list(range(3, N)), N)
+    def build(params):
+        F = dressed(f, dressing(params))
+        return g.comps[0] - map_compose(F, quarter_family(params[0], N)).comps[0]
+
+    sol = _solve_reference(build, N - 2, N)
     assert not isinstance(sol, Obstruction), sol
-    s = dim1._dressing(ONE, [ZERO] + sol[1:], N)
-    F, A = dressed(fs[N], s), quarter_family(sol[0], N)
-    parts = [(F, Witness("involutive_reverser", dressed(flip(N), s), N)),
-             (A, dim1.quarter_witness(N))]
+    s = dressing(sol)
+    parts = [(dressed(f, s), Witness("involutive_reverser", dressed(flip(N), s), N)),
+             (quarter_family(sol[0], N), dim1.quarter_witness(N))]
     return [(m, w) for m, w in parts if not m.is_identity()]
 
 
@@ -413,7 +436,7 @@ def test_p1_split_matches_the_probe_solve_on_s(g):
 
 
 def test_p1_split_inverts_as_often_at_every_degree():
-    # the probe solves for s^-1, so the number of probes does not show
+    # only the homography factor's conjugator is inverted, once
     g6, g10 = (poly1({1: 1, 2: 1, 3: 3, 5: 1}, N) for N in (6, 10))
 
     def inversions(split, g):
@@ -478,15 +501,62 @@ def _compositions(g):
     return _counted("map_compose", _splits, g)
 
 
+def _check_conjugacies(g, log=None):
+    """conjugate_to against the probe reference on every (target, seed)
+    that reverser_search(g) tries, on the homography target that
+    mobius_witness(g) tries for a tangent g, and on every call that the
+    splits of g make, cofactors included.  Returns what each call found,
+    None where it found no conjugacy."""
+    found = []
+
+    def checked(G, target, c=ONE):
+        h = conjugate_to(G, target, c)
+        assert h == _conjugate_to_reference(G, target, c, log)
+        found.append(h)
+        return h
+
+    N, lam = g.trunc, multiplier(g)
+    if lam == ONE:
+        d = dim1.lowest_nonlinear_degree(g)
+        seeds = reverser_seeds(d - 1) if d is not None else []
+        checked(g, mobius(coeff(g, 2), N))
+    else:
+        seeds = [ONE, -ONE, dim1.I_UNIT, -dim1.I_UNIT]
+    ginv = map_invert(g)
+    for c in seeds:
+        checked(g, ginv, c)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dim1, "conjugate_to", checked)
+        _splits(g)
+    return found
+
+
 @settings(max_examples=30, deadline=None)
 @given(unit_multiplier_maps())
-def test_sliced_solver_matches_the_full_n_reference(g):
+def test_conjugate_to_matches_the_probe_reference(g):
     first, calls = _compositions(g)
     # no state survives a call: the same input costs the same again
     assert _compositions(g) == (first, calls)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dim1, "_solve_degreewise", _full_n_solver)
-        assert _splits(g) == first
+    _check_conjugacies(g)
+
+
+# each map makes the probe reject a non-affine candidate p_(idx + 2),
+# logged as ("non-affine", d, idx); a cofactor of the first takes p_2 at
+# degree 4, where 2 * 2 <= 4 lets p_2 enter nonlinearly
+NON_AFFINE = {
+    "t+t^3": (poly1({1: 1, 3: 1}, 6), [("non-affine", 5, 0), ("taken", 4, 0)]),
+    "-t+t^3": (poly1({1: -1, 3: 1}, 6), [("non-affine", 5, 0)]),
+    "t+t^4": (poly1({1: 1, 4: 1}, 7), [("non-affine", 7, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_AFFINE))
+def test_conjugate_to_matches_the_probe_on_non_affine_degrees(name):
+    g, events = NON_AFFINE[name]
+    log = []
+    found = _check_conjugacies(g, log)
+    assert all(e in log for e in events), log
+    assert None in found and any(h is not None for h in found)
 
 
 def _compose_oracle(f, g, N):
