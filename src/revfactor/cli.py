@@ -57,7 +57,7 @@ from .scalars import (
     parse_scalar,
 )
 from .series import TruncationMismatch
-from .structure import ShapeError, kernel_embed, split_centralizer
+from .structure import ShapeError, split_centralizer
 
 DEFAULT_TRUNCATION = 6
 
@@ -163,7 +163,7 @@ def _cmd_normalize(args):
 def _cmd_split(args):
     F = _load_map(args.map, args.truncation)
     try:
-        chi, phi = split_centralizer(F)
+        chi, Phi = split_centralizer(F)
     except ShapeError as exc:
         print(f"not a paired-centralizer element: {exc}", file=sys.stderr)
         return OBSTRUCTION
@@ -172,9 +172,7 @@ def _cmd_split(args):
         raise CliError(INPUT_ERROR, str(exc)) from None
     print(format_map(chi))
     if args.kernel:
-        Path(args.kernel).write_text(
-            format_map(kernel_embed(phi, F.nvars)) + "\n"
-        )
+        Path(args.kernel).write_text(format_map(Phi) + "\n")
     return OK
 
 

@@ -5,9 +5,10 @@ The drivers accept maps whose linear part is diagonal (or upper
 triangular with distinct eigenvalues, which is diagonalized first) and
 has determinant +-1.  The engine walks the pair recursion: split the
 map against the half-dimensional base, recurse, and lift the child
-factors back through the section homomorphism.  Witnesses travel as
-small symbolic specs so lifting preserves their meaning; they are
-materialized and re-verified at the top.
+factors back through the section homomorphism.  Each piece carries a
+flat witness spec: itself (an involution), a reverser h, or a framed
+permutation C o P o C^-1.  Lifting and dressing act on the spec, and one
+constructor turns it into a verified witness at the top.
 
 A factorization can be frozen into a JSON certificate whose digest
 covers the target, the factors, their witnesses and the trace; the
@@ -45,7 +46,6 @@ from .structure import (
     extract_unit_shape,
     fresh_prime_diagonal,
     half_counts,
-    kernel_embed,
     lift_section,
     pair_swap,
     split_centralizer,
@@ -89,7 +89,13 @@ class Factorization:
 
 
 # ---------------------------------------------------------------------------
-# witness specs: liftable symbolic witnesses
+# witness specs: flat, liftable witnesses
+#
+# A piece is (map, spec, kind), and its spec is SELF (the map is an
+# involution), a reverser h of unit shape, or a Framed permutation.  The
+# section is a homomorphism, so dressing a piece at its own width and then
+# lifting gives the same map as lifting and then dressing, and one folded
+# frame gives the same map as dressing level by level.
 
 class _SelfSpec:
     """Witness is the factor itself (an involution)."""
@@ -99,20 +105,13 @@ SELF = _SelfSpec()
 
 
 @dataclass(frozen=True)
-class PermSpec:
+class Framed:
+    """The witness C o P o C^-1 for the permutation map P and the frame C
+    (the identity when None); inverse is C^-1."""
+
     perm: tuple
-
-
-@dataclass(frozen=True)
-class UnitSpec:
-    h: FormalMap
-
-
-@dataclass(frozen=True)
-class DressSpec:
-    dress: FormalMap
-    inverse: FormalMap  # of dress; lift_section lifts both alike
-    inner: object
+    frame: FormalMap | None = None
+    inverse: FormalMap | None = None
 
 
 def lift_permutation(perm: tuple, n: int) -> tuple:
@@ -143,51 +142,28 @@ def lift_permutation(perm: tuple, n: int) -> tuple:
     return tuple(out)
 
 
-def _lift_spec(spec, n: int):
-    if spec is SELF:
-        return SELF
-    if isinstance(spec, PermSpec):
-        return PermSpec(lift_permutation(spec.perm, n))
-    if isinstance(spec, UnitSpec):
-        return UnitSpec(lift_section(spec.h, n))
-    if isinstance(spec, DressSpec):
-        return DressSpec(
-            lift_section(spec.dress, n),
-            lift_section(spec.inverse, n),
-            _lift_spec(spec.inner, n),
-        )
-    raise TypeError(f"unknown witness spec {spec!r}")
-
-
-def _materialize_spec(spec, m: FormalMap) -> FormalMap:
-    if spec is SELF:
-        return m
-    if isinstance(spec, PermSpec):
-        return FormalMap.permutation(spec.perm, m.trunc)
-    if isinstance(spec, UnitSpec):
-        return spec.h
-    if isinstance(spec, DressSpec):
-        # _dress_pieces leaves SELF undressed, so the inner spec is not SELF
-        return dress([_materialize_spec(spec.inner, m)], spec.dress, spec.inverse)[0]
-    raise TypeError(f"unknown witness spec {spec!r}")
-
-
 def _involution(m: FormalMap) -> Factor:
     """The involution m as a factor that is its own witness."""
     return Factor(m, Witness("involution_self", m, m.trunc), "involution")
 
 
 def _piece_factor(piece, N: int) -> Factor:
+    """The one place a witness spec turns into a Witness, which is
+    verified before the factor is handed on."""
     m, spec, kind = piece
-    h = _materialize_spec(spec, m)
     if spec is SELF:
         w = Witness("involution_self", m, N)
-    elif map_compose(h, h).is_identity():
+    elif isinstance(spec, Framed):
+        # P is an involution, so C o P o C^-1 is one; the check squares it
+        P = FormalMap.permutation(spec.perm, N)
+        h = P if spec.frame is None else dress([P], spec.frame, spec.inverse)[0]
         w = Witness("involutive_reverser", h, N)
+    elif map_compose(spec, spec).is_identity():
+        w = Witness("involutive_reverser", spec, N)
     else:
-        w = Witness("reverser", h, N)
-    if not verify_witness(m, w):  # pragma: no cover - lifts preserve witnesses
-        raise AssertionError("materialized witness failed verification")
+        w = Witness("reverser", spec, N)
+    if not verify_witness(m, w):
+        raise AssertionError(f"{kind} piece failed its {w.kind} check")
     return Factor(m, w, kind)
 
 
@@ -222,45 +198,53 @@ def unit_pairing_perm(m: FormalMap):
     return perm
 
 
-def _respec(spec, m: FormalMap, n: int):
-    """Rebuild a liftable witness spec for a piece whose literal
-    permutation witness cannot pass through an odd parent."""
-    if isinstance(spec, PermSpec):
-        # Pair reciprocal units in the lifted map itself; the resulting
-        # ambient permutation needs no further adjustment.
-        tau = unit_pairing_perm(lift_section(m, n))
-        if tau is None:
-            raise FactorObstruction(
-                "no liftable reverser found for a kernel piece"
-            )
-        return PermSpec(tau)
-    if isinstance(spec, DressSpec):
-        inner_m = dress([m], spec.inverse, spec.dress)[0]
-        return DressSpec(
-            lift_section(spec.dress, n),
-            lift_section(spec.inverse, n),
-            _respec(spec.inner, inner_m, n),
-        )
-    raise FactorObstruction("witness spec cannot pass through an odd parent")
-
-
 def _lift_piece(piece, n: int):
+    """A piece over ceil(n/2) base variables lifted to n variables."""
     m, spec, kind = piece
-    try:
-        lspec = _lift_spec(spec, n)
-    except ShapeError:
-        lspec = _respec(spec, m, n)
-    return lift_section(m, n), lspec, kind
+    if isinstance(spec, Framed):
+        C, Cinv = spec.frame, spec.inverse
+        try:
+            perm = lift_permutation(spec.perm, n)
+        except ShapeError:
+            # The permutation cannot pass through an odd parent: pair
+            # reciprocal units in the lifted, un-framed piece instead.
+            bare = m if C is None else dress([m], Cinv, C)[0]
+            perm = unit_pairing_perm(lift_section(bare, n))
+            if perm is None:
+                raise FactorObstruction(
+                    "no liftable reverser found for a kernel piece"
+                ) from None
+        if C is not None:
+            C, Cinv = lift_section(C, n), lift_section(Cinv, n)
+        spec = Framed(perm, C, Cinv)
+    elif spec is not SELF:
+        spec = lift_section(spec, n)
+    return lift_section(m, n), spec, kind
 
 
 def _dress_pieces(pieces, K: FormalMap, Kinv: FormalMap) -> list:
-    """Each piece conjugated to K o m o Kinv, Kinv the inverse of K.  A
-    conjugated involution is still its own witness, so SELF stays."""
-    dressed = dress([m for m, _, _ in pieces], K, Kinv)
-    return [
-        (m, spec if spec is SELF else DressSpec(K, Kinv, spec), kind)
-        for m, (_, spec, kind) in zip(dressed, pieces)
-    ]
+    """Each piece conjugated to K o m o Kinv, Kinv the inverse of K: the
+    maps and every reverser h on one substitution table for Kinv, with K
+    composed into each frame.  A conjugated involution is still its own
+    witness, so SELF stays."""
+    hs = [spec for _, spec, _ in pieces if isinstance(spec, FormalMap)]
+    dressed = dress([m for m, _, _ in pieces] + hs, K, Kinv)
+    dressed_hs = iter(dressed[len(pieces):])
+    out = []
+    for m, (_, spec, kind) in zip(dressed, pieces):
+        if isinstance(spec, Framed):
+            if spec.frame is None:
+                spec = Framed(spec.perm, K, Kinv)
+            else:
+                spec = Framed(
+                    spec.perm,
+                    map_compose(K, spec.frame),
+                    map_compose(spec.inverse, Kinv),
+                )
+        elif spec is not SELF:
+            spec = next(dressed_hs)
+        out.append((m, spec, kind))
+    return out
 
 
 def _dress_factors(factors, C: FormalMap, Cinv: FormalMap) -> list:
@@ -516,8 +500,7 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
                 )
             return [(I, SELF, "involution") for I in parts]
         return [
-            (m, UnitSpec(w.h), _kind_for_witness(w))
-            for m, w in dim1.split_reversibles(X)
+            (m, w.h, _kind_for_witness(w)) for m, w in dim1.split_reversibles(X)
         ]
     pre = []
     K = None
@@ -527,18 +510,17 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
     else:
         # a trailing-slot shear from resonant pair products is diagonalized
         G, K, Kinv, Dinv = _rebalance(X, (), f"normal form at width {k}", trace)
-        pre.append((Dinv, PermSpec(swap_perm(k)), "linear"))
+        pre.append((Dinv, Framed(swap_perm(k)), "linear"))
         trace.append(f"fresh-prime rebalance and normalization at width {k}")
-    chi, phi = split_centralizer(G)
+    chi, Phi = split_centralizer(G)
     inner = [
         _lift_piece(p, k)
         for p in _factor_unit_group(
             chi, _half_weights(weights), k % 2 == 1, mode, trace
         )
     ]
-    Phi = kernel_embed(phi, k)
     if not Phi.is_identity():
-        inner.append((Phi, PermSpec(swap_perm(k)), "reversible"))
+        inner.append((Phi, Framed(swap_perm(k)), "reversible"))
     if K is not None:
         inner = _dress_pieces(inner, K, Kinv)
     return pre + inner
@@ -547,32 +529,22 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
 # ---------------------------------------------------------------------------
 # ambient-level helpers
 
-def _phi_factor(phi, n: int, N: int):
-    Phi = kernel_embed(phi, n)
-    if Phi.is_identity():
-        return None
-    J = pair_swap(n, N)
-    w = Witness("involutive_reverser", J, N)
-    if not verify_witness(Phi, w):  # pragma: no cover
-        raise AssertionError("pair swap failed to reverse the kernel part")
-    return Factor(Phi, w, "reversible")
-
-
 def _ambient_factors(G: FormalMap, mode: str, trace):
     n, N = G.nvars, G.trunc
-    chi, phi = split_centralizer(G)
-    out = []
+    chi, Phi = split_centralizer(G)
     if mode == "involutive" and n == 2:
-        out += _base2_involutions(chi, trace)
+        pieces = _base2_involutions(chi, trace)
     else:
-        pieces = _factor_unit_group(
-            chi, _half_weights((1,) * n), n % 2 == 1, mode, trace
-        )
-        out += [_piece_factor(_lift_piece(p, n), N) for p in pieces]
-    pf = _phi_factor(phi, n, N)
-    if pf is not None:
-        out.append(pf)
-    return out
+        pieces = [
+            _lift_piece(p, n)
+            for p in _factor_unit_group(
+                chi, _half_weights((1,) * n), n % 2 == 1, mode, trace
+            )
+        ]
+    if not Phi.is_identity():
+        # the pair swap reverses the kernel part
+        pieces.append((Phi, Framed(swap_perm(n)), "reversible"))
+    return [_piece_factor(p, N) for p in pieces]
 
 
 def reduce_to_centralizer(F: FormalMap):
@@ -594,17 +566,15 @@ def reduce_to_centralizer(F: FormalMap):
     T1, T2, sigma = split_diagonal_generic(
         Matrix.diagonal(L.diagonal_entries())
     )
-    J = pair_swap(n, N)
+    swap = swap_perm(n)
     P = FormalMap.permutation(sigma, N)
     Pinv = FormalMap.permutation(_inverse_perm(sigma), N)
-    prefix = []
-    T1m = FormalMap.from_linear(T1.matrix(), N)
-    if not T1m.is_identity():
-        prefix.append(Factor(T1m, Witness("involutive_reverser", J, N), "linear"))
-    T2m = FormalMap.from_linear(T2, N)
-    if not T2m.is_identity():
-        w2 = dress([J], Pinv, P)[0]
-        prefix.append(Factor(T2m, Witness("involutive_reverser", w2, N), "linear"))
+    # the pair swap reverses T1, and its conjugate by P^-1 reverses T2
+    pieces = [
+        (FormalMap.from_linear(T1.matrix(), N), Framed(swap), "linear"),
+        (FormalMap.from_linear(T2, N), Framed(swap, Pinv, P), "linear"),
+    ]
+    prefix = [_piece_factor(p, N) for p in pieces if not p[0].is_identity()]
     W = map_compose(FormalMap.from_linear((T1.matrix() * T2).inverse(), N), F)
     W, E = _diagonalized(W)
     # P o W o P^-1, whose linear part is T3^sigma, generic and paired
@@ -614,21 +584,11 @@ def reduce_to_centralizer(F: FormalMap):
     if E is not None:
         C = map_compose(FormalMap.from_linear(E, N), C)
         Cinv = map_compose(Cinv, FormalMap.from_linear(E.inverse(), N))
-    for f in prefix:
-        if not verify_witness(f.map, f.witness):  # pragma: no cover
-            raise AssertionError("prefix witness failed")
     return G, prefix, C, Cinv
 
 
 # ---------------------------------------------------------------------------
 # two-variable involutive base
-
-def _lifted_involution(I: FormalMap, n: int) -> Factor:
-    m = lift_section(I, n)
-    if not is_involution(m):  # pragma: no cover - the section is a homomorphism
-        raise AssertionError("lift broke an involution")
-    return _involution(m)
-
 
 def balance_matrix() -> Matrix:
     """The SL(2) change of basis that equalizes the two resonant slots of
@@ -656,7 +616,7 @@ def _s_machine(S: FormalMap, trace) -> list:
     M1 = map_compose(FormalMap.from_linear(L1, N), conjugate_linear(S, T))
     # resonant terms are paired here, so the check cannot fail
     N1, K1, K1inv = _paired_normal_form(M1, "balanced normal form", trace)
-    chi_i, phi_i = split_centralizer(N1)
+    chi_i, Phi = split_centralizer(N1)
     if not (
         dim1.coeff(chi_i, 2).is_zero() and dim1.coeff(chi_i, 3).is_zero()
     ):  # pragma: no cover - this is what the balancing buys
@@ -669,7 +629,6 @@ def _s_machine(S: FormalMap, trace) -> list:
                 "balanced base map still obstructed", obstruction=parts
             )
         inner += [lift_section(I, 2) for I in parts]
-    Phi = kernel_embed(phi_i, 2)
     J = pair_swap(2, N)
     if not Phi.is_identity():
         inner += [map_compose(Phi, J), J]
@@ -679,17 +638,13 @@ def _s_machine(S: FormalMap, trace) -> list:
     )
     D = map_compose(Tm, K1)
     Dinv = map_compose(K1inv, FormalMap.from_linear(T.inverse(), N))
-    out = [map_compose(X0, W0), W0] + dress(inner, D, Dinv)
-    for I in out:
-        if not is_involution(I):  # pragma: no cover
-            raise AssertionError("balanced piece is not an involution")
     trace.append("order-four balancing over SL(2) at width 2")
-    return out
+    return [map_compose(X0, W0), W0] + dress(inner, D, Dinv)
 
 
 def _base2_involutions(chi: FormalMap, trace) -> list:
-    """Involutions multiplying to lift(chi) for a one-variable base map:
-    a quadratic-led homography piece (two involutions), then either a
+    """Involution pieces multiplying to lift(chi) for a one-variable base
+    map: a quadratic-led homography piece (two involutions), then either a
     plain split or the balancing machine for the cubic-led remainder."""
     N = chi.trunc
     out = []
@@ -701,17 +656,17 @@ def _base2_involutions(chi: FormalMap, trace) -> list:
         parts = dim1.split_involutions(chi1)
         if isinstance(parts, Obstruction):  # pragma: no cover - invariant 0
             raise FactorObstruction("homography piece obstructed")
-        out += [_lifted_involution(I, 2) for I in parts]
+        out += [(lift_section(I, 2), SELF, "involution") for I in parts]
     if not rest.is_identity():
         theta = dim1.theta_invariant(rest)
         if theta.is_zero():
             parts = dim1.split_involutions(rest)
             if isinstance(parts, Obstruction):  # pragma: no cover
                 raise FactorObstruction("remainder obstructed", obstruction=parts)
-            out += [_lifted_involution(I, 2) for I in parts]
+            out += [(lift_section(I, 2), SELF, "involution") for I in parts]
         else:
             S = lift_section(rest, 2)
-            out += [_involution(I) for I in _s_machine(S, trace)]
+            out += [(I, SELF, "involution") for I in _s_machine(S, trace)]
     return out
 
 
@@ -747,8 +702,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
             "linear part is not paired-generic and the rebalanced normal form",
             trace,
         )
-        J = pair_swap(n, N)
-        pre.append(Factor(Dinv, Witness("involutive_reverser", J, N), "linear"))
+        pre.append(_piece_factor((Dinv, Framed(swap_perm(n)), "linear"), N))
         trace.append("fresh-prime rebalance of a non-generic linear part")
     inner = _ambient_factors(G, mode, trace)
     if K is not None:

@@ -20,8 +20,8 @@ leftover last coordinate when n is odd; k = ceil(n/2).  The cast:
 * ``project_base`` / ``lift_section`` / ``kernel_embed`` /
   ``split_centralizer`` — the surjection onto the coordinate-units group
   in k variables, its homomorphic section, the kernel parametrization,
-  and the unique splitting, read off F's units.  A map outside the
-  centralizer raises ``ShapeError``.
+  and the unique splitting into a section image and a kernel map, read
+  off F's units.  A map outside the centralizer raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -556,19 +556,20 @@ def kernel_embed(phi, n: int) -> FormalMap:
 
 
 def split_centralizer(F: FormalMap):
-    """Unique factorization F = lift_section(chi) o kernel_embed(phi).
+    """Unique factorization F = lift_section(chi) o Phi, Phi in the kernel.
 
-    Returns (chi, phi): chi is project_base(F), and phi_i is the visible
-    part of the reciprocal of F's unit in slot 2i+1.  lift_section fixes
-    every odd slot, so that slot of F is the kernel's z / phi_i.  Raises
-    ShapeError, from extract_centralizer, when F is not a centralizer
-    element.
+    Returns (chi, Phi): chi is project_base(F).  lift_section fixes every
+    odd slot, so slot 2i+1 of F is the kernel's: Phi carries F's unit u_i
+    there and the visible part of 1/u_i in slot 2i, which makes it
+    kernel_embed of those visible reciprocals.  Raises ShapeError, from
+    extract_centralizer, when F is not a centralizer element.
     """
     n, N = F.nvars, F.trunc
     units, psi = extract_centralizer(F)
     weights = _half_weights((1,) * n)
-    phi = tuple(
-        _prune(units[2 * i + 1].invert_unit(), weights, N - 1)
-        for i in range(n // 2)
-    )
-    return _base_map(units, psi, n, N), phi
+    kernel = []
+    for u in units[1::2]:
+        kernel += [_prune(u.invert_unit(), weights, N - 1), u]
+    width = units[0].nvars
+    last = Series.variable(width, N, width - 1) if n % 2 else None
+    return _base_map(units, psi, n, N), make_centralizer(tuple(kernel), last)

@@ -22,6 +22,7 @@ from revfactor.maps import (
 from revfactor.normalform import poincare_dulac
 from revfactor.structure import (
     PairedDiagonal,
+    extract_centralizer,
     half_counts,
     kernel_embed,
     lift_section,
@@ -341,9 +342,13 @@ def test_criterion_6_structural_exactness():
             # the section is a right inverse on canonical base data
             assert project_base(lift_section(chi, n)) == chi
             # split round-trips
-            base, phi = split_centralizer(F)
+            base, Phi = split_centralizer(F)
             assert base == chi
-            assert map_compose(lift_section(base, n), kernel_embed(phi, n)) == F
+            H = lift_section(base, n)
+            assert map_compose(H, Phi) == F
+            # the kernel map embeds the even-slot units of H^-1 o F
+            units, _ = extract_centralizer(map_compose(map_invert(H), F))
+            assert Phi == kernel_embed(units[::2], n)
         for _ in range(6):
             # kernel: image of the embedding projects to the identity ...
             phi = tuple(_unit(width, N, rng) for _ in range(m))

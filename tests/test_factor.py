@@ -22,6 +22,7 @@ from revfactor.maps import (
     parse_map,
 )
 from revfactor import dim1, maps
+from revfactor import factor as factor_module
 from revfactor.cli import main
 from revfactor.normalform import Witness, poincare_dulac, verify_witness
 from revfactor.structure import (
@@ -921,6 +922,16 @@ def test_certificate_version_and_unknown_fields_exit_2(tmp_path, capsys, mutatio
 # ---------------------------------------------------------------------------
 # certificate bytes: refactors of the arithmetic must not move a byte
 
+# five variables over an odd parent: its lifted witnesses nest two frames
+# and need re-pairing, which no benchmark map (n <= 4) reaches
+N5_ODD_PARENT = (
+    "map n=5 N=4 { comp1: { [1,0,0,0,0]: 11 ; [0,1,0,1,0]: 1 ; [1,0,1,0,0]: -1 } ; "
+    "comp2: { [0,1,0,0,0]: 2 ; [0,0,1,0,1]: -3 } ; "
+    "comp3: { [0,0,1,0,0]: 7 ; [1,0,1,0,2]: 2 } ; "
+    "comp4: { [0,0,0,1,0]: 13 ; [0,0,0,1,1]: -5 } ; "
+    "comp5: { [0,0,0,0,1]: 1/2002 ; [0,0,1,1,0]: -2 ; [1,1,1,0,0]: 2 } }"
+)
+
 # sha256 of format_certificate(certificate(fz)) per instance, recorded
 # before the series layer moved to packed monomial keys.  The cases cover
 # both modes, coefficients with i and r3, and each place that conjugates
@@ -954,6 +965,12 @@ PINNED_CERTIFICATES = [
      "a578b63e9b6c9d20797e05af2c7873209697929edcee215f5ac345d5285f7afb"),
     ("inv-n4-jordan-N5", "involutive", "map n=4 N=5 { comp1: { [1,0,0,0]: 2 ; [0,1,0,0]: 1 } ; comp2: { [0,1,0,0]: 2 ; [0,0,1,0]: 1 ; [1,1,1,0]: 3 } ; comp3: { [0,0,1,0]: 1 ; [0,0,0,1]: 1 } ; comp4: { [0,0,0,1]: 1/4 ; [0,2,0,1]: 1 } }",
      "ff02b8ec161629128a01f6755d0d8bb990527b1e8051df9b8f49bdcc930f495a"),
+    # an odd parent: two frames nest, and kernel pieces are re-paired
+    # after the literal swap fails to lift
+    ("rev-n5-odd-parent", "reversible", N5_ODD_PARENT,
+     "d3bb0996400c3641e564d9f2d694ec97906676be591ed851ebda0abb0b6c7398"),
+    ("inv-n5-odd-parent", "involutive", N5_ODD_PARENT,
+     "33b83b27ae77c45beb4dbe0bb97258be8687ed567fa31ce9d0818035ddf7137f"),
 ]
 
 
@@ -964,3 +981,31 @@ def test_certificate_bytes_are_pinned(mode, text, sha):
     factor = factor_reversibles if mode == "reversible" else factor_involutions
     text = format_certificate(certificate(factor(parse_map(text))))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+# The lifted witnesses are checked where they turn into factors: a wrong
+# permutation, a wrong re-pairing or a failed re-pairing must not pass.
+ODD_PARENT_FACTORS = [factor_reversibles, factor_involutions]
+
+
+@pytest.mark.parametrize("factor", ODD_PARENT_FACTORS)
+@pytest.mark.parametrize("name", ["lift_permutation", "unit_pairing_perm"])
+def test_a_wrong_lifted_permutation_is_caught(monkeypatch, factor, name):
+    if name == "lift_permutation":
+        monkeypatch.setattr(factor_module, name, lambda perm, n: tuple(range(n)))
+    else:
+        monkeypatch.setattr(factor_module, name, lambda m: tuple(range(m.nvars)))
+    with pytest.raises(AssertionError):
+        factor(parse_map(N5_ODD_PARENT))
+
+
+@pytest.mark.parametrize("factor", ODD_PARENT_FACTORS)
+def test_a_failed_repairing_is_an_obstruction(monkeypatch, tmp_path, capsys, factor):
+    monkeypatch.setattr(factor_module, "unit_pairing_perm", lambda m: None)
+    with pytest.raises(FactorObstruction, match="no liftable reverser found for a kernel piece"):
+        factor(parse_map(N5_ODD_PARENT))
+    path = tmp_path / "n5.map"
+    path.write_text(N5_ODD_PARENT + "\n")
+    mode = "reversible" if factor is factor_reversibles else "involutive"
+    assert main(["factor", "--mode", mode, str(path), "--truncation", "4"]) == 3
+    assert "no liftable reverser" in capsys.readouterr().err

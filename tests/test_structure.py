@@ -422,13 +422,15 @@ def test_split_centralizer_roundtrip_and_uniqueness():
     rng = random.Random(43)
     for n in (2, 3, 4, 5):
         F = _random_member(n, 5, rng)
-        chi, phi = split_centralizer(F)
+        chi, Phi = split_centralizer(F)
         assert chi == project_base(F)
         H = lift_section(chi, n)
-        assert map_compose(H, kernel_embed(phi, n)) == F
+        assert map_compose(H, Phi) == F
+        units, _ = extract_centralizer(map_compose(map_invert(H), F))
+        assert Phi == kernel_embed(units[::2], n)
         # uniqueness: same split from the reconstruction
-        chi2, phi2 = split_centralizer(map_compose(H, kernel_embed(phi, n)))
-        assert chi2 == chi and phi2 == phi
+        chi2, Phi2 = split_centralizer(map_compose(H, Phi))
+        assert chi2 == chi and Phi2 == Phi
 
 
 def test_split_rejects_non_member():
@@ -543,12 +545,12 @@ def centralizer_members(draw):
 @settings(max_examples=40, deadline=None)
 def test_split_of_product_recombines(F):
     n = F.nvars
-    chi, phi = split_centralizer(F)
+    chi, Phi = split_centralizer(F)
     H = lift_section(chi, n)
-    assert map_compose(H, kernel_embed(phi, n)) == F
+    assert map_compose(H, Phi) == F
     # the reference readout: the even-slot units of the kernel remainder
     units, _ = extract_centralizer(map_compose(map_invert(H), F))
-    assert phi == units[::2]
+    assert Phi == kernel_embed(units[::2], n)
 
 
 @given(units_strategy)
