@@ -312,8 +312,10 @@ def map_invert(F: FormalMap) -> FormalMap:
     Writes F = L + H, H the nonlinear part, and solves F o G = id for G
     from G_1 = L^{-1}: the degree-d part of F o G is L G_d + [H o G]_d,
     and H reaches degree d only through the parts of G below d, so
-    G_d = -L^{-1} [H o G_{<d}]_d.  G grows on one growing ``Table``,
-    which computes each monomial value of G once, by degree.
+    G_d = -L^{-1} [H o G_{<d}]_d = [(-L^{-1} H) o G_{<d}]_d, since
+    composition is linear in the outer series.  -L^{-1} H is formed once,
+    and G grows on one growing ``Table``, which computes each monomial
+    value of G once, by degree.
     """
     L = F.linear_part()
     try:
@@ -323,11 +325,13 @@ def map_invert(F: FormalMap) -> FormalMap:
     n, N = F.nvars, F.trunc
     G = FormalMap.from_linear(Li, N)
     table = Table(G.comps, growing=True)
-    H = [c - c.homogeneous_component(1) for c in F.comps]
+    minus_H = FormalMap.__new_raw__(
+        n, N, tuple(c.homogeneous_component(1) - c for c in F.comps)
+    )
+    K = apply_linear(Li, minus_H).comps
     comps = list(G.comps)
     for d in range(2, N + 1):
-        E = FormalMap.__new_raw__(n, N, tuple(table.part(h, d) for h in H))
-        parts = [-c for c in apply_linear(Li, E).comps]
+        parts = [table.part(k, d) for k in K]
         if d < N:  # no later step reads the top part
             table.extend(parts, d)
         comps = [g + c for g, c in zip(comps, parts)]

@@ -21,15 +21,22 @@ a sum of degree above N is at least (N+1) * B**n, so truncating a product
 is one compare per term pair.  Tuples appear only at the boundary: the
 constructor, ``coefficient``, ``terms`` and the read-only ``coeffs`` view.
 
-There is one product kernel, ``_mul_into``, on integer numerator rows over
-a denominator kept outside.  ``Series.__mul__`` brings each operand over
-the lcm of its coefficients' denominators and reduces each coefficient of
-the product once.  A substitution runs on a ``Table``, which brings the
-inner series over one common denominator D and keeps the value of a
-monomial of degree d as raw numerators over D**d: a monomial power costs
-integer multiply-adds only, with no gcd, lcm or Scalar, and each output
-coefficient is reduced once.  The normal form of a Scalar is unique, so
-results do not depend on where the reduction happens.
+Products run on integer numerator rows over a denominator kept outside,
+in one of two forms chosen from the coefficients.  A row whose
+coefficients are all rational holds one int numerator per term; a row
+with an i or r3 part anywhere holds (p, q, r, s) quadruples.  Most rows
+the pipeline makes are rational, and their products cost one integer
+multiply-add per term pair.  ``_accumulate`` sums products on ints when
+every operand is rational, and otherwise brings the rational operands to
+quadruples for the one quadruple kernel, ``_mul_into``.
+``Series.__mul__`` brings each operand over the lcm of its coefficients'
+denominators and reduces each coefficient of the product once.  A
+substitution runs on a ``Table``, which brings the inner series over one
+common denominator D and keeps the value of a monomial of degree d as raw
+numerators over D**d: a monomial power costs integer multiply-adds only,
+with no gcd, lcm or Scalar, and each output coefficient is reduced once.
+The normal form of a Scalar is unique, so results do not depend on where
+the reduction happens.
 
 A ``Table`` is the only substitution cache, with one recurrence for a
 monomial's value.  It serves every outer series of one ring composed
@@ -335,9 +342,8 @@ class Series:
         if not a or not b:
             return self._raw({})
         da, db = _den(a), _den(b)
-        acc: dict = {}
-        _mul_into(acc, _numerators(a, da), _numerators(b, db), _ring(self.nvars, self.trunc)[2])
-        return self._raw(_scalars(acc, da * db))
+        pair = (_numerators(a, da), _numerators(b, db))
+        return self._raw(_accumulate([pair], _ring(self.nvars, self.trunc)[2], da * db))
 
     __rmul__ = __mul__
 
@@ -380,8 +386,10 @@ class Series:
 
 # ---------------------------------------------------------------------------
 # raw numerator arithmetic: a series over one denominator is a list of
-# (key, (p, q, r, s)) integer numerator rows; products accumulate on rows
-# and each output coefficient is normalized once, into one Scalar
+# (key, numerators) rows; products accumulate on rows and each output
+# coefficient is normalized once, into one Scalar.  The numerators of a
+# row whose coefficients are all rational are plain ints; a row with an i
+# or r3 part anywhere holds (p, q, r, s) quadruples in every entry.
 
 
 def _den(terms: dict) -> int:
@@ -391,24 +399,76 @@ def _den(terms: dict) -> int:
 
 def _numerators(terms: dict, den: int) -> list:
     """The coefficients of a packed dict as numerator rows over den, a
-    multiple of every coefficient's denominator, sorted by key."""
+    multiple of every coefficient's denominator, sorted by key: ints if
+    every coefficient is rational, else quadruples."""
+    keys = sorted(terms)
     rows = []
-    for key in sorted(terms):
+    for key in keys:
+        p, q, r, s, m = terms[key]._v
+        if q or r or s:
+            break
+        rows.append((key, p * (den // m)))
+    else:
+        return rows
+    rows = []
+    for key in keys:
         p, q, r, s, m = terms[key]._v
         u = den // m
         rows.append((key, (p * u, q * u, r * u, s * u)))
     return rows
 
 
+def _quads(rows) -> list:
+    """Integer rows as quadruple rows."""
+    return [(key, (x, 0, 0, 0)) for key, x in rows]
+
+
+def _scaled(rows, r: int) -> list:
+    """rows with every numerator multiplied by r."""
+    if type(rows[0][1]) is int:
+        return [(key, x * r) for key, x in rows]
+    return [(key, (p * r, q * r, x * r, s * r)) for key, (p, q, x, s) in rows]
+
+
+def _accumulate(pairs, limit: int, den: int = 0):
+    """The sum of a * b over the (a, b) in pairs, a and b nonempty
+    numerator rows: its nonzero coefficients over den as Scalars, or with
+    den 0 its nonzero rows, ints if every operand's are, else quadruples.
+
+    A product key not below limit is dropped, and each row of a stops at
+    the first key of b not below limit, so b is sorted by key unless no
+    pair reaches the limit."""
+    acc: dict = {}
+    for a, b in pairs:
+        if type(a[0][1]) is not int or type(b[0][1]) is not int:
+            break
+    else:  # every operand is rational
+        get = acc.get
+        for a, b in pairs:
+            for ka, x in a:
+                for kb, y in b:
+                    key = ka + kb
+                    if key >= limit:
+                        break
+                    acc[key] = get(key, 0) + x * y
+        if den:
+            return {key: _make(t, 0, 0, 0, den) for key, t in acc.items() if t}
+        return [(key, t) for key, t in acc.items() if t]
+    for a, b in pairs:
+        if type(a[0][1]) is int:
+            a = _quads(a)
+        if type(b[0][1]) is int:
+            b = _quads(b)
+        _mul_into(acc, a, b, limit)
+    if den:
+        return {key: _make(*t, den) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
+    return [(key, t) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]]
+
+
 def _mul_into(acc: dict, a, b, limit: int) -> None:
     """acc[ka + kb] += x * y for every (ka, x) in a and (kb, y) in b with
-    ka + kb below limit.
-
-    x and y are numerator quadruples, and acc maps keys to lists
-    [p, q, r, s] of integer sums: the denominators stay outside.  Each row
-    of a stops at the first key of b not below limit, so b is sorted by
-    key unless no pair reaches the limit.
-    """
+    ka + kb below limit, x and y numerator quadruples, and acc mapping
+    keys to lists [p, q, r, s] of integer sums."""
     get = acc.get
     for ka, x in a:
         p, q, r, s = x
@@ -431,11 +491,6 @@ def _mul_into(acc: dict, a, b, limit: int) -> None:
                 acc[key] = [p * e, 0, 0, 0]
             else:
                 t[0] += p * e
-
-
-def _scalars(acc: dict, den: int) -> dict:
-    """The nonzero sums of acc, each over den, as Scalars."""
-    return {key: _make(*t, den) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +546,7 @@ def compose(f: Series, args, table=None) -> Series:
 
 
 # the value of the constant monomial: 1 at key 0, over D**0
-_ONE = ((0, (1, 0, 0, 0)),)
+_ONE = [(0, 1)]
 
 
 class Table:
@@ -515,6 +570,13 @@ class Table:
     f o g.  Chunk s is degree s, so a new part changes no stored chunk.
     When a part's denominators do not divide D, D becomes D * r, and
     every stored row is scaled by r and every chunk of g^e by r**|e|.
+
+    Every row and every memoized chunk keeps its own form: ints while its
+    coefficients are rational, quadruples once an i or r3 part is in it.
+    A chunk is rational when every chunk and row it is summed from is, so
+    a growing table whose first irrational part arrives at a later
+    ``extend`` keeps its rational chunks and builds quadruple chunks from
+    then on.
     """
 
     __slots__ = (
@@ -580,11 +642,10 @@ class Table:
     def _rescale(self, r: int) -> None:
         for rows in self._rows:
             for m, row in rows.items():
-                rows[m] = [(key, (p * r, q * r, x * r, s * r)) for key, (p, q, x, s) in row]
+                rows[m] = _scaled(row, r)
         for e, chunk in self._values.items():
-            rp = r ** (e // self._width // self._unit)
-            for key, (p, q, x, s) in chunk.items():
-                chunk[key] = (p * rp, q * rp, x * rp, s * rp)
+            if chunk:
+                self._values[e] = _scaled(chunk, r ** (e // self._width // self._unit))
 
     def _inner(self) -> tuple:
         """The inner series as far as the table knows them."""
@@ -620,16 +681,16 @@ class Table:
         D, unit, N, limit = self._den, self._unit, self.trunc, self._limit
         top = max(e for e, _ in items) // unit
         L = lcm(*[c._v[4] for _, c in items])
-        acc: dict = {}
+        pairs = []
         for e, c in items:
             p, q, r, s, m = c._v
             u = L // m * D ** (top - e // unit)
-            head = ((0, (p * u, q * u, r * u, s * u)),)
+            head = [(0, (p * u, q * u, r * u, s * u)) if q or r or s else (0, p * u)]
             for chunk in chunks or range(e // unit, N + 1):
                 value = self._chunk(e, chunk)
                 if value:
-                    _mul_into(acc, head, value, limit)
-        return _new(self.nvars, self.trunc, _scalars(acc, L * D**top))
+                    pairs.append((head, value))
+        return _new(self.nvars, self.trunc, _accumulate(pairs, limit, L * D**top))
 
     def _chunk(self, e: int, s: int):
         """Chunk s of g^e, e a packed monomial of the outer ring, as
@@ -637,7 +698,7 @@ class Table:
         key = e * self._width + s
         got = self._values.get(key)
         if got is not None:
-            return got.items()
+            return got
         if e == 0:
             return _ONE if s == 0 else ()
         unit, place = self._unit, self._place
@@ -649,15 +710,15 @@ class Table:
         rows, parent = self._rows[j], e - unit - place[j]
         if not parent:
             return rows.get(s, ())
-        acc: dict = {}
+        pairs = []
         step = self._step
         for m in range(step, s - step * (e // unit - 1) + 1):
             row = rows.get(m)
             head = self._chunk(parent, s - m) if row else None
             if head:
-                _mul_into(acc, head, row, self._limit)
-        got = self._values[key] = {k: t for k, t in acc.items() if t[0] or t[1] or t[2] or t[3]}
-        return got.items()
+                pairs.append((head, row))
+        got = self._values[key] = _accumulate(pairs, self._limit)
+        return got
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from revfactor.scalars import ONE, R3, Scalar, scalar
+from revfactor.scalars import ONE, R3, Scalar
 from revfactor.series import Series, Table, compose
 from revfactor.maps import (
     FormalMap,

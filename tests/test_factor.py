@@ -30,7 +30,6 @@ from revfactor.structure import (
     ShapeError,
     centralizer_membership,
     lift_section,
-    make_centralizer,
     pair_swap,
 )
 from revfactor.factor import (
@@ -952,6 +951,10 @@ PINNED_CERTIFICATES = [
      "53db77d2bdd03fbf5d4f86518e773f7e8a2f10cd3d98284c56cc98da02f320a8"),
     ("inv-unipotent", "involutive", "map n=2 N=5 { comp1: { [1,0]: 1 ; [0,1]: 1 ; [2,0]: 1 } ; comp2: { [0,1]: 1 ; [1,1]: -1 } }",
      "0120d78caa1edef2aad3835ed1f1d0c30e83219929779660268adff5716e6054"),
+    # the rev-field map in involutive mode: i and r3 coefficients through
+    # the involutive pipeline and its verifier
+    ("inv-field", "involutive", "map n=2 N=5 { comp1: { [1,0]: 3 ; [1,1]: r3 } ; comp2: { [0,1]: 1/3 ; [0,2]: 1 + i } }",
+     "4bf6626cf2aadeb57a3f98f15ca09bc26b3cd98ce31432de6da61d3901d023c5"),
     ("inv-neg-identity", "involutive", "map n=2 N=6 { comp1: { [1,0]: -1 ; [2,0]: 2 } ; comp2: { [0,1]: -1 ; [0,3]: 3 } }",
      "5a632db08c82dac0333394b7f62b0fce3645894d71f5e0c294da06e32ff36f10"),
     ("inv-prime", "involutive", "map n=2 N=5 { comp1: { [1,0]: 3 ; [0,2]: 1 } ; comp2: { [0,1]: 1/3 ; [1,1]: -2 } }",

@@ -369,6 +369,86 @@ def test_product_over_differing_denominators(case):
 
 
 # ---------------------------------------------------------------------------
+# the two row forms: a row of rational coefficients holds one integer
+# numerator per term, a row with an i or r3 part anywhere holds quadruples,
+# and one product or table may mix them.  Most draws are rational, as most
+# coefficients the pipeline makes are.
+
+rational_coeffs = st.builds(
+    lambda p, q: Scalar(Fraction(p, q)), st.integers(-9, 9), st.sampled_from((1, 2, 3) + PRIMES)
+)
+irrational_coeffs = field_coeffs.filter(lambda c: not c.is_rational())
+mostly_rational = st.one_of(rational_coeffs, rational_coeffs, rational_coeffs, field_coeffs)
+
+
+@st.composite
+def series_of_either_form(draw, n, N, low=0):
+    """A series of rational coefficients, or one with an irrational
+    coefficient at a drawn monomial and mostly rational ones elsewhere."""
+    if draw(st.integers(0, 2)):
+        return draw(series_in(n, N, low, coeffs=rational_coeffs))
+    g = draw(series_in(n, N, low, coeffs=mostly_rational))
+    e = draw(st.sampled_from([e for d in range(low, N + 1) for e in _exponents(n, d)]))
+    g[e] = draw(irrational_coeffs)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(rings(), st.data())
+def test_rational_times_irrational_matches_the_reference(ring, data):
+    n, N = ring
+    a = data.draw(series_in(n, N, coeffs=rational_coeffs))
+    b = data.draw(series_of_either_form(n, N))
+    sa, sb = Series(n, N, a), Series(n, N, b)
+    for x, y, sx, sy in ((a, b, sa, sb), (b, a, sb, sa), (a, a, sa, sa), (b, b, sb, sb)):
+        assert dict((sx * sy).coeffs) == ref_mul(_nonzero(x), _nonzero(y), N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(), st.integers(1, 3), st.data())
+def test_a_shared_fixed_table_mixes_row_forms(ring, k, data):
+    # rational and irrational substitutions and outer series share one
+    # table, so memoized values of either form meet heads of either form
+    n, N = ring
+    lows = st.integers(0, 1)
+    args = [data.draw(series_of_either_form(n, N, low=data.draw(lows))) for _ in range(k)]
+    sargs = [Series(n, N, g) for g in args]
+    table = Table(sargs)
+    for _ in range(data.draw(st.integers(2, 4))):
+        f = data.draw(series_of_either_form(k, N))
+        got = compose(Series(k, N, f), sargs, table)
+        assert dict(got.coeffs) == ref_compose(_nonzero(f), args, n, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings().filter(lambda r: r[1] >= 2), st.integers(1, 3), st.data())
+def test_a_growing_table_takes_its_first_irrational_part_late(ring, k, data):
+    # every part below degree d0 is rational, and the table memoizes
+    # rational values from them; the first i or r3 part arrives at d0
+    n, N = ring
+    d0 = data.draw(st.integers(2, N))
+    args = []
+    for _ in range(k):
+        g = data.draw(series_in(n, N, low=1, coeffs=rational_coeffs))
+        late = data.draw(series_in(n, N, low=d0, coeffs=mostly_rational))
+        args.append({e: v for e, v in g.items() if sum(e) < d0} | late)
+    first = data.draw(st.sampled_from(list(_exponents(n, d0))))
+    args[data.draw(st.integers(0, k - 1))][first] = data.draw(irrational_coeffs)
+    sargs = [Series(n, N, g) for g in args]
+    outer = [data.draw(series_of_either_form(k, N, low=1)) for _ in range(2)]
+    want = [ref_compose(_nonzero(f), args, n, N) for f in outer]
+    table = Table([g.homogeneous_component(1) for g in sargs], growing=True)
+    for d in range(1, N + 1):
+        if d > 1:
+            table.extend([g.homogeneous_component(d) for g in sargs], d)
+        for f, ref in zip(outer, want):
+            got = table.part(Series(k, N, f), d)
+            assert dict(got.coeffs) == {e: v for e, v in ref.items() if sum(e) == d}
+    for f, ref in zip(outer, want):
+        assert dict(compose(Series(k, N, f), sargs, table).coeffs) == ref
+
+
+# ---------------------------------------------------------------------------
 # the text reader under mutation
 
 

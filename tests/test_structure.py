@@ -21,7 +21,6 @@ from revfactor.structure import (
     lift_section,
     make_centralizer,
     make_unit_shape,
-    pair_products,
     pair_projection,
     pair_swap,
     project_base,
