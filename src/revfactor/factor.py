@@ -8,7 +8,8 @@ map against the half-dimensional base, recurse, and lift the child
 factors back through the section homomorphism.  Each piece carries a
 flat witness spec: itself (an involution), a reverser h, or a framed
 permutation C o P o C^-1.  Lifting and dressing act on the spec, and one
-constructor turns it into a verified witness at the top.
+constructor turns it into a verified witness at the top.  In involutive
+mode each factor is split into involutions there, before any conjugation.
 
 A factorization can be frozen into a JSON certificate whose digest
 covers the target, the factors, their witnesses and the trace; the
@@ -158,12 +159,13 @@ def _piece_factor(piece, N: int) -> Factor:
         P = FormalMap.permutation(spec.perm, N)
         h = P if spec.frame is None else dress([P], spec.frame, spec.inverse)[0]
         w = Witness("involutive_reverser", h, N)
-    elif map_compose(spec, spec).is_identity():
-        w = Witness("involutive_reverser", spec, N)
     else:
         w = Witness("reverser", spec, N)
     if not verify_witness(m, w):
         raise AssertionError(f"{kind} piece failed its {w.kind} check")
+    # one square of a checked reverser h labels it
+    if w.kind == "reverser" and map_compose(spec, spec).is_identity():
+        w = Witness("involutive_reverser", spec, N)
     return Factor(m, w, kind)
 
 
@@ -544,7 +546,7 @@ def _ambient_factors(G: FormalMap, mode: str, trace):
     if not Phi.is_identity():
         # the pair swap reverses the kernel part
         pieces.append((Phi, Framed(swap_perm(n)), "reversible"))
-    return [_piece_factor(p, N) for p in pieces]
+    return _involutionize([_piece_factor(p, N) for p in pieces], mode, trace)
 
 
 def reduce_to_centralizer(F: FormalMap):
@@ -683,7 +685,9 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     if mult is None:
         G, prefix, C, Cinv = reduce_to_centralizer(W)
         trace.append("split the diagonal and rebalanced to a generic paired part")
-        return prefix + _dress_factors(_ambient_factors(G, mode, trace), C, Cinv)
+        return _involutionize(prefix, mode, trace) + _dress_factors(
+            _ambient_factors(G, mode, trace), C, Cinv
+        )
     pd = PairedDiagonal(mult, n)
     pre = []
     K = Kinv = None
@@ -707,10 +711,15 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     inner = _ambient_factors(G, mode, trace)
     if K is not None:
         inner = _dress_factors(inner, K, Kinv)
-    return pre + inner
+    return _involutionize(pre, mode, trace) + inner
 
 
-def _involutionize(factors: list, trace) -> list:
+def _involutionize(factors: list, mode: str, trace) -> list:
+    """In involutive mode, each factor as involutions, split where it is
+    made: conjugating X o h and h later gives (C X C^-1) o (C h C^-1) and
+    C h C^-1 exactly, so no split or its checks meets a dressed map."""
+    if mode != "involutive":
+        return factors
     out = []
     for f in factors:
         if f.kind == "involution" or is_involution(f.map):
@@ -759,8 +768,6 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
         else:
             trace.append("diagonalized the triangular linear part")
     core = _split_det_one(work, mode, trace)
-    if mode == "involutive":
-        core = _involutionize(core, trace)
     if E is not None:
         core = _dress_factors(
             core, FormalMap.from_linear(E, N), FormalMap.from_linear(E.inverse(), N)
@@ -772,7 +779,7 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
 def _recomposed(fz: Factorization) -> Factorization:
     """fz, once its factors are checked to compose to its target: the
     one recomposition each front end makes."""
-    if fz.recompose() != fz.target:  # pragma: no cover - every stage is exact
+    if fz.recompose() != fz.target:
         raise AssertionError(f"{fz.mode} factorization failed to recompose")
     return fz
 

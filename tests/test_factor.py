@@ -968,6 +968,8 @@ PINNED_CERTIFICATES = [
      "a578b63e9b6c9d20797e05af2c7873209697929edcee215f5ac345d5285f7afb"),
     ("inv-n4-jordan-N5", "involutive", "map n=4 N=5 { comp1: { [1,0,0,0]: 2 ; [0,1,0,0]: 1 } ; comp2: { [0,1,0,0]: 2 ; [0,0,1,0]: 1 ; [1,1,1,0]: 3 } ; comp3: { [0,0,1,0]: 1 ; [0,0,0,1]: 1 } ; comp4: { [0,0,0,1]: 1/4 ; [0,2,0,1]: 1 } }",
      "ff02b8ec161629128a01f6755d0d8bb990527b1e8051df9b8f49bdcc930f495a"),
+    ("inv-n4-jordan-N6", "involutive", "map n=4 N=6 { comp1: { [1,0,0,0]: 2 ; [0,1,0,0]: 1 } ; comp2: { [0,1,0,0]: 2 ; [0,0,1,0]: 1 ; [1,1,1,0]: 3 } ; comp3: { [0,0,1,0]: 1 ; [0,0,0,1]: 1 } ; comp4: { [0,0,0,1]: 1/4 ; [0,2,0,1]: 1 } }",
+     "512a3bcdb56dd4863a61b750d5e5239e711d3a6a83ae1038eb6d6438a2e900da"),
     # an odd parent: two frames nest, and kernel pieces are re-paired
     # after the literal swap fails to lift
     ("rev-n5-odd-parent", "reversible", N5_ODD_PARENT,
@@ -984,6 +986,53 @@ def test_certificate_bytes_are_pinned(mode, text, sha):
     factor = factor_reversibles if mode == "reversible" else factor_involutions
     text = format_certificate(certificate(factor(parse_map(text))))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+# In involutive mode each factor is split into involutions where it is
+# made, before any conjugation: the split and its checks meet only the
+# undressed pieces, and a conjugation dresses only involutions.
+INVOLUTIVE_PINS = [c for c in PINNED_CERTIFICATES if c[1] == "involutive"]
+
+
+def _dressing_spy(monkeypatch, change=None):
+    """Wrap _dress_factors: record the witness kinds of every factor it
+    receives, and let ``change`` edit the dressed list."""
+    dress_factors = factor_module._dress_factors
+    kinds = []
+
+    def spy(factors, C, Cinv):
+        kinds.extend(f.witness.kind for f in factors)
+        out = dress_factors(factors, C, Cinv)
+        return out if change is None else change(out)
+
+    monkeypatch.setattr(factor_module, "_dress_factors", spy)
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "text", [c[2] for c in INVOLUTIVE_PINS], ids=[c[0] for c in INVOLUTIVE_PINS]
+)
+def test_involutive_mode_dresses_only_involutions(monkeypatch, text):
+    kinds = _dressing_spy(monkeypatch)
+    factor_involutions(parse_map(text))
+    assert kinds and set(kinds) == {"involution_self"}
+
+
+def test_a_corrupted_dressed_involution_fails_the_recomposition(monkeypatch):
+    # a dressed involution is not squared again, so a wrong one is caught
+    # by the final recomposition
+    def corrupt(factors):
+        f = factors[0]
+        n, N = f.map.nvars, f.map.trunc
+        bump = Series(n, N, {(N,) + (0,) * (n - 1): 1})
+        m = FormalMap([f.map.comps[0] + bump, *f.map.comps[1:]])
+        factors[0] = Factor(m, Witness("involution_self", m, N), f.kind)
+        return factors
+
+    kinds = _dressing_spy(monkeypatch, corrupt)
+    with pytest.raises(AssertionError, match="failed to recompose"):
+        factor_involutions(parse_map(INVOLUTIVE_PINS[0][2]))
+    assert kinds
 
 
 # The lifted witnesses are checked where they turn into factors: a wrong

@@ -246,6 +246,40 @@ def test_dress_matches_compose_then_invert(case):
     assert dress(Fs, K, Kinv) == [map_compose(map_compose(K, F), Kinv) for F in Fs]
 
 
+@st.composite
+def pair_and_conjugator(draw):
+    """Two-variable X and h with triangular linear parts, and a conjugator
+    K = D o T (D diagonal, T tangent to the identity), at N <= 5."""
+    N = draw(st.integers(2, 5))
+    monomials = [e for e in product(range(N + 1), repeat=2) if 2 <= sum(e) <= N]
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+    def jet(linear):
+        # the given linear rows, plus up to four drawn terms per component
+        terms = st.dictionaries(st.sampled_from(monomials), value, max_size=4)
+        return FormalMap([Series(2, N, {**draw(terms), **row}) for row in linear])
+
+    def nonzero():
+        return draw(value.filter(bool))
+
+    X = jet([{(1, 0): nonzero(), (0, 1): draw(value)}, {(0, 1): nonzero()}])
+    h = jet([{(1, 0): nonzero()}, {(1, 0): draw(value), (0, 1): nonzero()}])
+    T = jet([{(1, 0): 1}, {(0, 1): 1}])
+    D = FormalMap([Series(2, N, {(1, 0): nonzero()}), Series(2, N, {(0, 1): nonzero()})])
+    return X, h, map_compose(D, T)
+
+
+@given(pair_and_conjugator())
+@settings(max_examples=40, deadline=None)
+def test_dressing_a_split_pair_is_splitting_the_dressed_pair(case):
+    # truncated composition is exact in the jet group, so an involution
+    # pair X o h, h may be split before or after the conjugation
+    X, h, K = case
+    Kinv = map_invert(K)
+    X2, h2 = dress([X, h], K, Kinv)
+    assert dress([map_compose(X, h), h], K, Kinv) == [map_compose(X2, h2), h2]
+
+
 @given(maps_in_one_ring(most=4))
 @settings(max_examples=40, deadline=None)
 def test_one_table_serves_every_outer_map(case):
