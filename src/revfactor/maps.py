@@ -252,14 +252,6 @@ class FormalMap:
             [[self.comps[i].coefficient(units[j]) for j in range(n)] for i in range(n)]
         )
 
-    def homogeneous_part(self, d: int) -> "FormalMap":
-        """The degree-d homogeneous piece (as a map with zero elsewhere)."""
-        return FormalMap.__new_raw__(
-            self.nvars,
-            self.trunc,
-            tuple(c.homogeneous_component(d) for c in self.comps),
-        )
-
     def truncate(self, new_trunc: int) -> "FormalMap":
         """A copy truncated at a (usually lower) degree."""
         return FormalMap([c.truncate(new_trunc) for c in self.comps])

@@ -224,11 +224,14 @@ def test_reduce_to_centralizer_contract():
     G, prefix, C, Cinv = reduce_to_centralizer(F)
     assert map_compose(C, Cinv).is_identity()
     assert centralizer_membership(G)
-    for f in prefix:
+    # the prefix comes as pieces; _piece_factor raises unless each
+    # witness spec stands for a witness that checks
+    for piece in prefix:
+        f = factor_module._piece_factor(piece)
         assert verify_witness(f.map, f.witness)
     rebuilt = map_compose(map_compose(C, G), map_invert(C))
-    for f in reversed(prefix):
-        rebuilt = map_compose(f.map, rebuilt)
+    for m, _, _ in reversed(prefix):
+        rebuilt = map_compose(m, rebuilt)
     assert rebuilt == F
 
 
@@ -249,6 +252,27 @@ def test_factoring_inverts_no_map_of_several_variables(monkeypatch):
     assert factor_reversibles(F).recompose() == F
     assert factor_involutions(F).recompose() == F
     assert all(n == 1 for n in sizes), sizes
+
+
+@pytest.mark.parametrize("name", ["n3-general", "n4-jordan"])
+def test_each_factor_is_checked_once_where_it_is_made(monkeypatch, name):
+    # a reversible factor's witness is verified once, when _piece_factor
+    # makes it; involutions are checked by squaring, not as witnesses
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_witness(*args)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("revfactor") and getattr(module, "verify_witness", None) is verify_witness:
+            monkeypatch.setattr(module, "verify_witness", counted)
+    F = parse_map(next(text for key, text, *_ in INSTANCES if key == name))
+    fz = factor_reversibles(F)
+    assert len(calls) == len(fz.factors)
+    calls.clear()
+    factor_involutions(F)
+    assert calls == []
 
 
 def test_reduce_to_centralizer_rejects_small_and_nondiagonal():
@@ -582,6 +606,17 @@ def test_factor_dim1():
     assert len(fz.factors) <= 2
     assert fz.recompose() == g
     assert verify_factorization(fz).ok
+
+
+def test_factor_dim1_checks_the_witnesses_it_returns(monkeypatch):
+    # the splitters leave the witness check to the front end, so a wrong
+    # homography reverser cannot come out of it
+    def wrong(g):
+        return Witness("involutive_reverser", dim1.flip(g.trunc), g.trunc)
+
+    monkeypatch.setattr(dim1, "mobius_witness", wrong)
+    with pytest.raises(AssertionError):
+        factor_dim1_reversibles(dim1.poly1({1: 1, 2: 1, 3: 3}, 6))
 
 
 def test_factor_dim1_quartic_led_map_shifts():

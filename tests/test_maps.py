@@ -126,18 +126,25 @@ def test_conjugation_preserves_order():
     assert order(conjugate(rot, K), 8) == order(rot, 8)
 
 
+def homogeneous_part(F, d):
+    """The degree-d homogeneous piece of F, as a map with zero elsewhere."""
+    return FormalMap.__new_raw__(
+        F.nvars, F.trunc, tuple(c.homogeneous_component(d) for c in F.comps)
+    )
+
+
 def test_homogeneous_parts_reconstitute():
     F = FormalMap(
         [Series(2, 4, {(1, 0): 1, (0, 2): 5, (2, 2): 1}), Series(2, 4, {(0, 1): 1})]
     )
     acc = None
     for d in range(1, 5):
-        H = F.homogeneous_part(d)
+        H = homogeneous_part(F, d)
         acc = H if acc is None else FormalMap.__new_raw__(
             2, 4, tuple(a + b for a, b in zip(acc.comps, H.comps))
         )
     assert tuple(acc.comps) == tuple(F.comps)
-    L2 = F.homogeneous_part(2)
+    L2 = homogeneous_part(F, 2)
     assert L2.comps[0] == Series(2, 4, {(0, 2): 5})
     assert L2.comps[1].is_zero()
 
