@@ -3,14 +3,19 @@ verified witnesses, plus portable certificates.
 
 The drivers accept maps whose linear part is diagonal (or upper
 triangular with distinct eigenvalues, which is diagonalized first) and
-has determinant +-1.  The engine walks the pair recursion: split the
-map against the half-dimensional base, recurse, and lift the child
-factors back through the section homomorphism.  Each piece carries a
-flat witness spec: itself (an involution), a reverser h, or a framed
-permutation C o P o C^-1.  Lifting and dressing act on the spec, and one
-constructor turns it into a verified witness at the top.  In involutive
-mode each piece is split into involutions there instead, before any
-conjugation, and the squares of the involutions are its check.
+has determinant +-1.  A diagonal that is not pair-reciprocal has one
+split, ``_split_diagonal``, into two strongly reversible linear factors
+and a generic paired rest.  One routine, ``_rebalance``, composes a
+linear map onto the map, diagonalizes, permutes and normalizes, for that
+rest and for each fresh-prime rebalance.  The engine walks the pair
+recursion: split the map against the half-dimensional base, recurse, and
+lift the child factors back through the section homomorphism.  Each
+piece carries a flat witness spec: itself (an involution), a reverser h,
+or a framed permutation C o P o C^-1.  Lifting and dressing act on the
+spec, and one constructor turns it into a verified witness at the top.
+In involutive mode each piece is split into involutions there instead,
+before any conjugation, and the squares of the involutions are its
+check.
 
 A factorization can be frozen into a JSON certificate whose digest
 covers the target, the factors, their witnesses and the trace; the
@@ -22,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from math import prod
 
 from . import dim1
 from .bounds import compute_bounds, compute_involution_bounds
@@ -297,10 +303,6 @@ def _paired_entries(entries):
     return tuple(mult)
 
 
-def _permuted_entries(entries, perm):
-    return tuple(entries[perm[i]] for i in range(len(perm)))
-
-
 def _inverse_perm(perm):
     out = [0] * len(perm)
     for i, j in enumerate(perm):
@@ -308,87 +310,55 @@ def _inverse_perm(perm):
     return tuple(out)
 
 
-def split_diagonal_pair(T: Matrix):
-    """A diagonal matrix of determinant 1 as T1 * T2 where T1 is
-    pair-reciprocal and some permutation sigma makes T2 pair-reciprocal.
+def _split_diagonal(entries):
+    """A diagonal of determinant 1 that is not pair-reciprocal as
+    T1 * T2 * T3, entry by entry: T1 is pair-reciprocal, and T2 and T3
+    are pair-reciprocal and generic after one permutation sigma, read as
+    (T^sigma)_i = T_{sigma(i)}.  Returns the entries of T1 and T2, and
+    sigma.
 
-    Returns (T1 as PairedDiagonal, T2 as Matrix, sigma).  The entries of
-    the permuted matrix are read as (T2^sigma)_i = (T2)_{sigma(i)};
+    T1 holds the running prefix products, so pair i of the rest d / T1
+    multiplies to d_{2i} d_{2i+1}: the identity never pairs it.  The
     candidates are the swap of the first and last slot, then the cyclic
-    shift, whichever lands in the paired shape first.
-    """
-    if not T.is_diagonal():
-        raise ValueError("need a diagonal matrix")
-    d = list(T.diagonal_entries())
-    n = len(d)
+    shift, which always pairs it.  Fresh primes dividing no numerator or
+    denominator of the paired rest go into T2, and T3 keeps their
+    reciprocals."""
+    n = len(entries)
     if n < 2:
         raise ValueError("need at least two variables")
-    det = ONE
-    for x in d:
-        det = det * x
-    if det != ONE:
+    if prod(entries, start=ONE) != ONE:
         raise ValueError("determinant must be 1 to split the diagonal")
     t1 = []
     run = ONE
     for i in range(n // 2):
-        run = run * d[2 * i]
+        run = run * entries[2 * i]
         t1 += [run, run.inverse()]
-        run = run * d[2 * i + 1]
+        run = run * entries[2 * i + 1]
     if n % 2:
-        t1.append(run * d[n - 1])  # equals det == 1
-    mult1 = _paired_entries(t1)
-    if mult1 is None:  # pragma: no cover - construction guarantees the shape
-        raise AssertionError("prefix product lost the paired shape")
-    t2 = tuple(x / y for x, y in zip(d, t1))
-    if _paired_entries(t2) is not None:
-        return PairedDiagonal(mult1, n), Matrix.diagonal(t2), tuple(range(n))
-    cands = []
+        t1.append(ONE)  # the full product is det == 1
+    rest = [x / y for x, y in zip(entries, t1)]
     swap = list(range(n))
     swap[0], swap[n - 1] = n - 1, 0
-    cands.append(tuple(swap))
-    cands.append(tuple((i + 1) % n for i in range(n)))
-    for perm in cands:
-        if _paired_entries(_permuted_entries(t2, perm)) is not None:
-            return PairedDiagonal(mult1, n), Matrix.diagonal(t2), perm
-    raise AssertionError("no admissible permutation")  # pragma: no cover
-
-
-def split_paired_generic(T: PairedDiagonal):
-    """A pair-reciprocal diagonal as a product of two generic ones.
-
-    Fresh primes dividing no numerator or denominator of the multipliers
-    go into the first factor; the second factor is their reciprocal diagonal.
-    Non-rational multipliers are rejected: pick the rebalancing primes
-    by hand in that case and multiply directly.
-    """
-    for a in T.multipliers:
+    for sigma in (tuple(swap), tuple((i + 1) % n for i in range(n))):
+        mult = _paired_entries([rest[j] for j in sigma])
+        if mult is not None:
+            break
+    else:  # pragma: no cover - the cyclic shift always pairs the rest
+        raise AssertionError("no admissible permutation")
+    for a in mult:
         if not a.is_rational():
             raise ValueError(
-                "rebalancing needs rational multipliers; "
-                "compose with a generic paired diagonal of your choice instead"
+                f"the fresh-prime rebalance needs rational multipliers, "
+                f"but the diagonal split leaves the multiplier {a}"
             )
-    n = T.n
-    fresh = fresh_prime_diagonal(n, avoid=T.multipliers)
-    lam = fresh.multipliers
+    fresh = fresh_prime_diagonal(n, avoid=mult)
     first = PairedDiagonal(
-        tuple(a * p for a, p in zip(T.multipliers, lam)), n
+        tuple(a * p for a, p in zip(mult, fresh.multipliers)), n
     )
-    second = PairedDiagonal(tuple(p.inverse() for p in lam), n)
-    if not (first.is_generic() and second.is_generic()):  # pragma: no cover
-        raise AssertionError("fresh primes failed to give generic factors")
-    return first, second
-
-
-def split_diagonal_generic(T: Matrix):
-    """A diagonal matrix of determinant 1 as T1 * T2 * T3 with T1
-    pair-reciprocal and T2, T3 pair-reciprocal and generic after one
-    permutation sigma.  Returns (T1, T2, sigma); T3 is the rest."""
-    T1, T2, sigma = split_diagonal_pair(T)
-    permuted = _permuted_entries(T2.diagonal_entries(), sigma)
-    mult = _paired_entries(permuted)
-    B1, _ = split_paired_generic(PairedDiagonal(mult, len(permuted)))
-    T2b = Matrix.diagonal(_permuted_entries(B1.entries(), _inverse_perm(sigma)))
-    return T1, T2b, sigma
+    if not first.is_generic():  # pragma: no cover - fresh primes are independent
+        raise AssertionError("fresh primes failed to give a generic factor")
+    t2 = first.entries()
+    return tuple(t1), tuple(t2[j] for j in _inverse_perm(sigma)), sigma
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +426,26 @@ def _paired_normal_form(M: FormalMap, what: str, trace):
     return G, K, Kinv
 
 
-def _rebalance(X: FormalMap, avoid, what: str, trace):
-    """Make X's linear part generic with a fresh-prime paired diagonal D,
-    diagonalize what stays triangular, and normalize:
-    D o X = K o G o K^-1.  Returns (G, K, K^-1, D^-1 as a map)."""
+def _rebalance(X: FormalMap, M: Matrix, sigma: tuple, what: str, trace):
+    """Compose the linear map M onto X, diagonalize what stays triangular
+    with E, conjugate by the permutation map P of sigma unless sigma is
+    the identity (a diagonal T becomes T^sigma), and normalize:
+    P o E^-1 o M o X o E o P^-1 = K o G o K^-1.  Returns (G, C, C^-1) for
+    the frame C = E o P^-1 o K, so M o X = C o G o C^-1."""
     N = X.trunc
-    D = fresh_prime_diagonal(X.nvars, avoid=avoid)
-    M, E = _diagonalized(map_compose(D.realize(N), X))
-    G, K, Kinv = _paired_normal_form(M, what, trace)
+    Y, E = _diagonalized(map_compose(FormalMap.from_linear(M, N), X))
+    permuted = sigma != tuple(range(len(sigma)))
+    if permuted:
+        P = FormalMap.permutation(sigma, N)
+        Pinv = FormalMap.permutation(_inverse_perm(sigma), N)
+        Y = dress([Y], P, Pinv)[0]
+    G, C, Cinv = _paired_normal_form(Y, what, trace)
+    if permuted:
+        C, Cinv = map_compose(Pinv, C), map_compose(Cinv, P)
     if E is not None:
-        K = map_compose(FormalMap.from_linear(E, N), K)
-        Kinv = map_compose(Kinv, FormalMap.from_linear(E.inverse(), N))
-    return G, K, Kinv, FormalMap.from_linear(D.matrix().inverse(), N)
+        C = map_compose(FormalMap.from_linear(E, N), C)
+        Cinv = map_compose(Cinv, FormalMap.from_linear(E.inverse(), N))
+    return G, C, Cinv
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +495,10 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
         trace.append(f"paired member at width {k}: direct split")
     else:
         # a trailing-slot shear from resonant pair products is diagonalized
-        G, K, Kinv, Dinv = _rebalance(X, (), f"normal form at width {k}", trace)
+        D = fresh_prime_diagonal(k).matrix()
+        what = f"normal form at width {k}"
+        G, K, Kinv = _rebalance(X, D, tuple(range(k)), what, trace)
+        Dinv = FormalMap.from_linear(D.inverse(), N)
         pre.append((Dinv, Framed(swap_perm(k)), "linear"))
         trace.append(f"fresh-prime rebalance and normalization at width {k}")
     chi, Phi = split_centralizer(G)
@@ -532,67 +513,6 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
     if K is not None:
         inner = _dress_pieces(inner, K, Kinv)
     return pre + inner
-
-
-# ---------------------------------------------------------------------------
-# ambient-level helpers
-
-def _ambient_factors(G: FormalMap, mode: str, trace):
-    n = G.nvars
-    chi, Phi = split_centralizer(G)
-    if mode == "involutive" and n == 2:
-        pieces = _base2_involutions(chi, trace)
-    else:
-        pieces = [
-            _lift_piece(p, n)
-            for p in _factor_unit_group(
-                chi, _half_weights((1,) * n), n % 2 == 1, mode, trace
-            )
-        ]
-    if not Phi.is_identity():
-        # the pair swap reverses the kernel part
-        pieces.append((Phi, Framed(swap_perm(n)), "reversible"))
-    return _involutionize(pieces, mode)
-
-
-def reduce_to_centralizer(F: FormalMap):
-    """Write F with general diagonal linear part (det 1) as
-    T1 o T2 o C o G o C^-1 with T1, T2 strongly reversible linear maps
-    and G a paired-centralizer element with generic linear part.
-
-    Accepts an upper-triangular linear part as well: the prefix absorbs
-    only the diagonal, after which the remaining triangular part has the
-    distinct fresh-prime eigenvalues and diagonalizes exactly.
-
-    Returns (G, prefix pieces, C, C^-1)."""
-    n, N = F.nvars, F.trunc
-    if n < 3:
-        raise ValueError("reduction needs at least three variables")
-    L = F.linear_part()
-    if not L.is_diagonal() and not L.is_upper_triangular():
-        raise ValueError("reduction needs a diagonal or triangular linear part")
-    T1, T2, sigma = split_diagonal_generic(
-        Matrix.diagonal(L.diagonal_entries())
-    )
-    swap = swap_perm(n)
-    P = FormalMap.permutation(sigma, N)
-    Pinv = FormalMap.permutation(_inverse_perm(sigma), N)
-    # the pair swap reverses T1, and its conjugate by P^-1 reverses T2
-    pieces = [
-        (FormalMap.from_linear(T1.matrix(), N), Framed(swap), "linear"),
-        (FormalMap.from_linear(T2, N), Framed(swap, Pinv, P), "linear"),
-    ]
-    prefix = [p for p in pieces if not p[0].is_identity()]
-    W = map_compose(FormalMap.from_linear((T1.matrix() * T2).inverse(), N), F)
-    W, E = _diagonalized(W)
-    # P o W o P^-1, whose linear part is T3^sigma, generic and paired
-    F2 = dress([W], P, Pinv)[0]
-    G, K1, K1inv = _paired_normal_form(F2, "normal form after rebalancing", ())
-    C, Cinv = map_compose(Pinv, K1), map_compose(K1inv, P)
-    if E is not None:
-        C = map_compose(FormalMap.from_linear(E, N), C)
-        Cinv = map_compose(Cinv, FormalMap.from_linear(E.inverse(), N))
-    return G, prefix, C, Cinv
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +557,22 @@ def _s_machine(S: FormalMap, trace) -> list:
                 "balanced base map still obstructed", obstruction=parts
             )
         inner += [lift_section(I, 2) for I in parts]
-    J = pair_swap(2, N)
-    if not Phi.is_identity():
-        inner += [map_compose(Phi, J), J]
     X0 = FormalMap.from_linear(T * L1.inverse() * T.inverse(), N)
     W0 = FormalMap.from_linear(
         T * Matrix.permutation((1, 0)) * T.inverse(), N
     )
+    outer = [map_compose(X0, W0), W0]
+    J = pair_swap(2, N)
+    kernel = [] if Phi.is_identity() else [map_compose(Phi, J), J]
+    # _involutionize squares no SELF piece: the lifted base involutions
+    # were squared by involution_pair, and these four are squared here,
+    # before dressing
+    if not all(is_involution(I) for I in outer + kernel):
+        raise AssertionError("a balancing involution failed its square check")
     D = map_compose(Tm, K1)
     Dinv = map_compose(K1inv, FormalMap.from_linear(T.inverse(), N))
     trace.append("order-four balancing over SL(2) at width 2")
-    return [map_compose(X0, W0), W0] + dress(inner, D, Dinv)
+    return outer + dress(inner + kernel, D, Dinv)
 
 
 def _base2_involutions(chi: FormalMap, trace) -> list:
@@ -682,41 +607,60 @@ def _base2_involutions(chi: FormalMap, trace) -> list:
 # top drivers
 
 def _split_det_one(W: FormalMap, mode: str, trace) -> list:
-    n = W.nvars
+    """W, of diagonal or triangular linear part with determinant 1, as
+    linear prefix factors times C o G o C^-1 for a paired-centralizer
+    element G, whose pieces come from the pair recursion."""
+    n, N = W.nvars, W.trunc
     if W.is_identity():
         return []
-    L = W.linear_part()
-    entries = L.diagonal_entries()
+    entries = W.linear_part().diagonal_entries()
     mult = _paired_entries(entries)
-    if mult is None:
-        G, prefix, C, Cinv = reduce_to_centralizer(W)
-        trace.append("split the diagonal and rebalanced to a generic paired part")
-        return _involutionize(prefix, mode) + _dress_factors(
-            _ambient_factors(G, mode, trace), C, Cinv
-        )
-    pd = PairedDiagonal(mult, n)
+    swap = swap_perm(n)
     pre = []
-    K = Kinv = None
-    if centralizer_membership(W):
+    C = Cinv = None
+    if mult is None:
+        T1, T2, sigma = _split_diagonal(entries)
+        P = FormalMap.permutation(sigma, N)
+        Pinv = FormalMap.permutation(_inverse_perm(sigma), N)
+        # the pair swap reverses T1, and its conjugate by P^-1 reverses T2;
+        # T1 is the identity when every prefix product is 1, T2 never is
+        T1m = FormalMap.diagonal(T1, N)
+        pre = [] if T1m.is_identity() else [(T1m, Framed(swap), "linear")]
+        pre.append((FormalMap.diagonal(T2, N), Framed(swap, Pinv, P), "linear"))
+        # after (T1 T2)^-1 the linear part is T3, generic and paired after sigma
+        T12inv = Matrix.diagonal([(a * b).inverse() for a, b in zip(T1, T2)])
+        G, C, Cinv = _rebalance(W, T12inv, sigma, "normal form after rebalancing", trace)
+        trace.append("split the diagonal and rebalanced to a generic paired part")
+    elif centralizer_membership(W):
         G = W
         trace.append("paired-centralizer member: direct split")
-    elif pd.is_generic():
+    elif PairedDiagonal(mult, n).is_generic():
         # generic resonances are paired, so the check cannot fail
-        G, K, Kinv = _paired_normal_form(W, "normal form", trace)
+        G, C, Cinv = _paired_normal_form(W, "normal form", trace)
         trace.append("generic paired linear part: normalization")
     else:
         # a leftover triangular part now has distinct eigenvalues
-        G, K, Kinv, Dinv = _rebalance(
-            W,
-            entries,
-            "linear part is not paired-generic and the rebalanced normal form",
-            trace,
-        )
-        pre.append((Dinv, Framed(swap_perm(n)), "linear"))
+        D = fresh_prime_diagonal(n, avoid=entries).matrix()
+        what = "linear part is not paired-generic and the rebalanced normal form"
+        G, C, Cinv = _rebalance(W, D, tuple(range(n)), what, trace)
+        pre.append((FormalMap.from_linear(D.inverse(), N), Framed(swap), "linear"))
         trace.append("fresh-prime rebalance of a non-generic linear part")
-    inner = _ambient_factors(G, mode, trace)
-    if K is not None:
-        inner = _dress_factors(inner, K, Kinv)
+    chi, Phi = split_centralizer(G)
+    if mode == "involutive" and n == 2:
+        pieces = _base2_involutions(chi, trace)
+    else:
+        pieces = [
+            _lift_piece(p, n)
+            for p in _factor_unit_group(
+                chi, _half_weights((1,) * n), n % 2 == 1, mode, trace
+            )
+        ]
+    if not Phi.is_identity():
+        # the pair swap reverses the kernel part
+        pieces.append((Phi, Framed(swap), "reversible"))
+    inner = _involutionize(pieces, mode)
+    if C is not None:
+        inner = _dress_factors(inner, C, Cinv)
     return _involutionize(pre, mode) + inner
 
 
@@ -725,12 +669,14 @@ def _involutionize(pieces: list, mode: str) -> list:
     piece X that is no involution has a framed h, and X = (X o h) o h once
     ``involution_pair`` has squared both.  Conjugating them later gives
     (C X C^-1) o (C h C^-1) and C h C^-1 exactly, so no split or its
-    checks meets a dressed map."""
+    checks meets a dressed map.  A SELF piece was squared where it was
+    made, before any lift (a homomorphism) or dressing (a conjugation),
+    so it is kept as it is."""
     if mode != "involutive":
         return [_piece_factor(p) for p in pieces]
     out = []
     for m, spec, _ in pieces:
-        if is_involution(m):
+        if spec is SELF or is_involution(m):
             out.append(_involution(m))
         else:
             pair = dim1.involution_pair(m, _spec_witness(m, spec))

@@ -163,6 +163,23 @@ def test_factor_rejects_bad_determinant(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_factor_refuses_a_non_rational_rebalance(tmp_path, capsys):
+    # the diagonal (2, i, -i/2) has determinant 1 but is not paired; its
+    # split leaves the multiplier -i/2, and fresh primes need rationals
+    path = tmp_path / "ni.map"
+    path.write_text(
+        "map n=3 N=6 { comp1: { [1,0,0]: 2 ; [0,1,1]: 1 } ; "
+        "comp2: { [0,1,0]: i } ; comp3: { [0,0,1]: -1/2*i } }\n"
+    )
+    for mode in ("reversible", "involutive"):
+        assert main(["factor", "--mode", mode, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the fresh-prime rebalance needs rational multipliers, "
+            "but the diagonal split leaves the multiplier -1/2*i\n"
+        )
+    assert not (tmp_path / "ni.cert.json").exists()
+
+
 def test_parse_error_reports_line_and_column(tmp_path, capsys):
     bad = tmp_path / "bad.map"
     bad.write_text("map n=2 N=6 {\n  comp1: { [1,0: 3 } ;\n  comp2: { [0,1]: 1 } }\n")

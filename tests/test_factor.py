@@ -7,9 +7,9 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from revfactor.scalars import ONE, R3, Scalar, scalar
+from revfactor.scalars import I, ONE, R3, Scalar, scalar
 from revfactor.series import Series
 from revfactor.maps import (
     FormalMap,
@@ -50,10 +50,6 @@ from revfactor.factor import (
     format_certificate,
     lift_permutation,
     parse_certificate,
-    reduce_to_centralizer,
-    split_diagonal_generic,
-    split_diagonal_pair,
-    split_paired_generic,
     unit_pairing_perm,
     verify_certificate,
     verify_factorization,
@@ -69,72 +65,93 @@ def _diag_map(entries, N):
 
 
 # ---------------------------------------------------------------------------
-# linear splitters
+# the diagonal split
 
-
-def test_split_diagonal_pair_three_vars():
-    T1, T2, sigma = split_diagonal_pair(Matrix.diagonal([Q(2), Q(3), Q(1, 6)]))
-    assert tuple(T1.entries()) == (Q(2), Q(1, 2), Q(1))
-    assert tuple(T2.diagonal_entries()) == (Q(1), Q(6), Q(1, 6))
-    assert sigma == (2, 1, 0)
-
-
-def test_split_diagonal_pair_four_vars():
-    d = [Q(2), Q(3), Q(5), Q(1, 30)]
-    T1, T2, sigma = split_diagonal_pair(Matrix.diagonal(d))
-    assert tuple(T1.entries()) == (Q(2), Q(1, 2), Q(30), Q(1, 30))
-    assert tuple(T2.diagonal_entries()) == (Q(1), Q(6), Q(1, 6), Q(1))
-    assert sigma == (1, 2, 3, 0)
-    # entrywise product recovers the input
-    prod = [x * y for x, y in zip(T1.entries(), T2.diagonal_entries())]
-    assert prod == d
-
-
-def test_split_diagonal_pair_rejects_bad_input():
-    with pytest.raises(ValueError):
-        split_diagonal_pair(Matrix.diagonal([Q(2), Q(3)]))  # det != 1
-    with pytest.raises(ValueError):
-        split_diagonal_pair(Matrix([[Q(1), Q(1)], [Q(0), Q(1)]]))
-
-
-def test_split_paired_generic_frozen():
-    first, second = split_paired_generic(PairedDiagonal((Q(1), Q(1)), 4))
-    assert first.multipliers == (Q(2), Q(3))
-    assert second.multipliers == (Q(1, 2), Q(1, 3))
-
-    first, second = split_paired_generic(PairedDiagonal((Q(4), Q(9)), 4))
-    assert first.multipliers == (Q(20), Q(63))
-    assert second.multipliers == (Q(1, 5), Q(1, 7))
-    assert first.is_generic() and second.is_generic()
-
-
-def test_split_paired_generic_rejects_irrational():
-    with pytest.raises(ValueError):
-        split_paired_generic(PairedDiagonal((R3, ONE), 4))
+_split_diagonal = factor_module._split_diagonal
+_paired_entries = factor_module._paired_entries
 
 
 def _rest_of_split(d, T1, T2):
-    """The third factor T3 = d / (T1 T2) of split_diagonal_generic."""
-    return [x / (y * z) for x, y, z in zip(d, T1.entries(), T2.diagonal_entries())]
+    """The third factor T3 = d / (T1 T2) of the diagonal split."""
+    return tuple(x / (y * z) for x, y, z in zip(d, T1, T2))
+
+
+def _permuted(T, sigma):
+    return [T[j] for j in sigma]
+
+
+def test_split_diagonal_pair_three_vars():
+    # the pair-reciprocal T1 leaves the rest d/T1 = T2 T3 = (1, 6, 1/6),
+    # which the swap sigma pairs as (1/6, 6, 1)
+    d = [Q(2), Q(3), Q(1, 6)]
+    T1, T2, sigma = _split_diagonal(d)
+    rest = tuple(x / y for x, y in zip(d, T1))
+    assert T1 == (Q(2), Q(1, 2), Q(1))
+    assert rest == (Q(1), Q(6), Q(1, 6))
+    assert sigma == (2, 1, 0)
+    assert _paired_entries(_permuted(rest, sigma)) == (Q(1, 6),)
+
+
+def test_split_diagonal_pair_four_vars():
+    # the swap would leave (1, 6, 1/6, 1) unpaired; the cyclic shift pairs
+    # it as (6, 1/6, 1, 1)
+    d = [Q(2), Q(3), Q(5), Q(1, 30)]
+    T1, T2, sigma = _split_diagonal(d)
+    rest = tuple(x / y for x, y in zip(d, T1))
+    assert T1 == (Q(2), Q(1, 2), Q(30), Q(1, 30))
+    assert rest == (Q(1), Q(6), Q(1, 6), Q(1))
+    assert sigma == (1, 2, 3, 0)
+    assert _paired_entries(_permuted(rest, sigma)) == (Q(6), Q(1))
+    # entrywise product recovers the input
+    assert [x * y for x, y in zip(T1, rest)] == d
 
 
 def test_split_diagonal_generic_three_vars():
+    # the swap pairs the rest (1, 6, 1/6) as (1/6, 6, 1), and the fresh
+    # prime 5 avoids its 2 and 3
     d = [Q(2), Q(3), Q(1, 6)]
-    T1, T2, sigma = split_diagonal_generic(Matrix.diagonal(d))
-    T3 = _rest_of_split(d, T1, T2)
-    assert tuple(T1.entries()) == (Q(2), Q(1, 2), Q(1))
-    assert tuple(T2.diagonal_entries()) == (Q(1), Q(6, 5), Q(5, 6))
-    assert tuple(T3) == (Q(1), Q(5), Q(1, 5))
+    T1, T2, sigma = _split_diagonal(d)
+    assert T1 == (Q(2), Q(1, 2), Q(1))
+    assert T2 == (Q(1), Q(6, 5), Q(5, 6))
+    assert _rest_of_split(d, T1, T2) == (Q(1), Q(5), Q(1, 5))
     assert sigma == (2, 1, 0)
 
 
 def test_split_diagonal_generic_four_vars():
+    # the swap leaves (1, 6, 1/6, 1) unpaired; the cyclic shift pairs it
     d = [Q(2), Q(3), Q(5), Q(1, 30)]
-    T1, T2, sigma = split_diagonal_generic(Matrix.diagonal(d))
-    T3 = _rest_of_split(d, T1, T2)
-    assert tuple(T2.diagonal_entries()) == (Q(1, 7), Q(30), Q(1, 30), Q(7))
-    assert tuple(T3) == (Q(7), Q(1, 5), Q(5), Q(1, 7))
+    T1, T2, sigma = _split_diagonal(d)
+    assert T1 == (Q(2), Q(1, 2), Q(30), Q(1, 30))
+    assert T2 == (Q(1, 7), Q(30), Q(1, 30), Q(7))
+    assert _rest_of_split(d, T1, T2) == (Q(7), Q(1, 5), Q(5), Q(1, 7))
     assert sigma == (1, 2, 3, 0)
+
+
+def test_split_diagonal_pair_rejects_bad_input():
+    with pytest.raises(ValueError, match="determinant"):
+        _split_diagonal([Q(2), Q(3)])
+    with pytest.raises(ValueError, match="two variables"):
+        _split_diagonal([ONE])
+
+
+def test_split_paired_generic_frozen():
+    # the cyclic shift pairs the rest as (4, 1/4, 9, 1/9, 1), and the
+    # fresh primes 5 and 7 avoid its 2 and 3
+    d = [Q(1), Q(4), Q(1), Q(9, 4), Q(1, 9)]
+    T1, T2, sigma = _split_diagonal(d)
+    assert T1 == (Q(1), Q(1), Q(4), Q(1, 4), Q(1))
+    assert sigma == (1, 2, 3, 4, 0)
+    assert _permuted(T2, sigma) == [Q(20), Q(1, 20), Q(63), Q(1, 63), ONE]
+    assert _permuted(_rest_of_split(d, T1, T2), sigma) == [
+        Q(1, 5), Q(5), Q(1, 7), Q(7), ONE
+    ]
+
+
+def test_split_paired_generic_rejects_irrational():
+    # the swap pairs the rest (1, 2i, -i/2) as (-i/2, 2i, 1), whose
+    # multiplier has no fresh prime to avoid
+    with pytest.raises(ValueError, match=r"rational multipliers.*-1/2\*i"):
+        _split_diagonal([Q(2), I, -I / Scalar(2)])
 
 
 def test_split_diagonal_pair_reversal_witnesses():
@@ -143,14 +160,37 @@ def test_split_diagonal_pair_reversal_witnesses():
     N = 4
     for d in ([Q(2), Q(3), Q(1, 6)], [Q(2), Q(3), Q(5), Q(1, 30)]):
         n = len(d)
-        T1, T2, sigma = split_diagonal_pair(Matrix.diagonal(d))
+        T1, T2, sigma = _split_diagonal(d)
         J = pair_swap(n, N)
         P = FormalMap.permutation(sigma, N)
         w2 = map_compose(map_compose(map_invert(P), J), P)
-        T1m = FormalMap.from_linear(T1.matrix(), N)
-        T2m = FormalMap.from_linear(T2, N)
+        T1m = FormalMap.diagonal(T1, N)
+        T2m = FormalMap.diagonal(T2, N)
         assert verify_witness(T1m, Witness("involutive_reverser", J, N))
         assert verify_witness(T2m, Witness("involutive_reverser", w2, N))
+
+
+_NONZERO = st.fractions(-40, 40, max_denominator=40).filter(lambda x: x != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6), st.data())
+def test_split_diagonal_of_random_non_paired_diagonals(n, data):
+    fractions = data.draw(st.lists(_NONZERO, min_size=n - 1, max_size=n - 1))
+    head = [Q(x.numerator, x.denominator) for x in fractions]
+    last = ONE
+    for x in head:
+        last = last / x
+    d = head + [last]
+    assume(_paired_entries(d) is None)
+    T1, T2, sigma = _split_diagonal(d)
+    T3 = _rest_of_split(d, T1, T2)
+    assert all(x * y * z == e for x, y, z, e in zip(T1, T2, T3, d))
+    assert _paired_entries(T1) is not None
+    for T in (T2, T3):
+        mult = _paired_entries(_permuted(T, sigma))
+        assert mult is not None and PairedDiagonal(mult, n).is_generic()
+    assert sigma != tuple(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +259,49 @@ N3_GENERAL = (
 )
 
 
-def test_reduce_to_centralizer_contract():
+def test_reduce_to_centralizer_contract(monkeypatch):
+    # a non-paired diagonal makes F = T1 o T2 o C o G o C^-1: the two
+    # linear factors come first, and the first rebalance hands back G
+    # in the paired centralizer and the frame C with its inverse
+    rebalance = factor_module._rebalance
+    seen = []
+
+    def spy(*args):
+        seen.append(rebalance(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(factor_module, "_rebalance", spy)
     F = parse_map(N3_GENERAL)
-    G, prefix, C, Cinv = reduce_to_centralizer(F)
+    fz = factor_reversibles(F)
+    assert "split the diagonal and rebalanced to a generic paired part" in fz.trace
+    G, C, Cinv = seen[0]
     assert map_compose(C, Cinv).is_identity()
     assert centralizer_membership(G)
-    # the prefix comes as pieces; _piece_factor raises unless each
-    # witness spec stands for a witness that checks
-    for piece in prefix:
-        f = factor_module._piece_factor(piece)
-        assert verify_witness(f.map, f.witness)
-    rebuilt = map_compose(map_compose(C, G), map_invert(C))
-    for m, _, _ in reversed(prefix):
-        rebuilt = map_compose(m, rebuilt)
+    T1, T2, _ = _split_diagonal(F.linear_part().diagonal_entries())
+    prefix = fz.factors[:2]
+    assert [f.map for f in prefix] == [
+        FormalMap.diagonal(T, F.trunc) for T in (T1, T2)
+    ]
+    assert [f.kind for f in prefix] == ["linear", "linear"]
+    rebuilt = map_compose(map_compose(C, G), Cinv)
+    rebuilt = map_compose(prefix[0].map, map_compose(prefix[1].map, rebuilt))
     assert rebuilt == F
+    assert verify_factorization(fz).ok
+
+
+def test_a_diagonal_split_drops_an_identity_first_factor():
+    # the prefix products of (1, 2, 1/2) are all 1, so T1 is the identity
+    # and the first factor is T2, reversed by the sigma-conjugated swap
+    F = parse_map(
+        "map n=3 N=5 { comp1: { [1,0,0]: 1 ; [0,1,1]: 1 } ; "
+        "comp2: { [0,1,0]: 2 ; [2,0,0]: 1 } ; comp3: { [0,0,1]: 1/2 ; [1,1,0]: 3 } }"
+    )
+    T1, T2, _ = _split_diagonal(F.linear_part().diagonal_entries())
+    assert T1 == (ONE, ONE, ONE)
+    fz = factor_reversibles(F)
+    assert fz.factors[0].map == FormalMap.diagonal(T2, F.trunc)
+    assert verify_factorization(fz).ok
+    assert verify_factorization(factor_involutions(F)).ok
 
 
 def test_factoring_inverts_no_map_of_several_variables(monkeypatch):
@@ -273,17 +342,6 @@ def test_each_factor_is_checked_once_where_it_is_made(monkeypatch, name):
     calls.clear()
     factor_involutions(F)
     assert calls == []
-
-
-def test_reduce_to_centralizer_rejects_small_and_nondiagonal():
-    with pytest.raises(ValueError):
-        reduce_to_centralizer(_diag_map([Q(2), Q(1, 2)], 4))
-    F = parse_map(
-        "map n=3 N=4 { comp1: { [0,1,0]: 1 } ; "
-        "comp2: { [1,0,0]: 1 } ; comp3: { [0,0,1]: 1 } }"
-    )
-    with pytest.raises(ValueError):
-        reduce_to_centralizer(F)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +450,21 @@ def test_cubic_led_shift_splits_into_four_involutions():
     assert verify_factorization(fz).ok
     assert "paired-centralizer member: direct split" in fz.trace
     assert "order-four balancing over SL(2) at width 2" in fz.trace
+
+
+def test_a_corrupted_balancing_involution_raises(monkeypatch):
+    # the balancing machine squares its linear and kernel involutions
+    # where it makes them, since _involutionize keeps them unsquared: a
+    # kernel swap that is no involution fails there, before any dressing
+    S = parse_map("map n=2 N=6 { comp1: { [1,0]: 1 ; [3,2]: 1 } ; comp2: { [0,1]: 1 } }")
+    assert "order-four balancing over SL(2) at width 2" in factor_involutions(S).trace
+
+    def skewed_swap(n, N):
+        return map_compose(_diag_map([Q(2), Q(1)], N), pair_swap(n, N))
+
+    monkeypatch.setattr(factor_module, "pair_swap", skewed_swap)
+    with pytest.raises(AssertionError, match="balancing involution failed"):
+        factor_involutions(S)
 
 
 def test_balancing_with_a_nonidentity_balanced_base():
