@@ -883,20 +883,20 @@ def _digest(payload: dict) -> str:
 
 
 def certificate(fz: Factorization) -> dict:
+    factors = []
+    for f in fz.factors:
+        text, w = format_map(f.map), f.witness
+        # an involution is its own witness: its text is the map's
+        h = text if w.h is f.map else format_map(w.h)
+        witness = {"kind": w.kind, "h": h, "degree": w.checked_degree}
+        factors.append({"map": text, "kind": f.kind, "witness": witness})
     payload = {
         "format": "revfactor-certificate",
         "version": 1,
         "mode": fz.mode,
         "degree": fz.target.trunc,
         "target": format_map(fz.target),
-        "factors": [
-            {
-                "map": format_map(f.map),
-                "kind": f.kind,
-                "witness": f.witness.to_json(),
-            }
-            for f in fz.factors
-        ],
+        "factors": factors,
         "trace": list(fz.trace),
     }
     payload["digest"] = _digest(payload)

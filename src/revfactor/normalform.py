@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .scalars import ONE, Scalar, format_scalar
 from .series import Series, Table
-from .maps import FormalMap, format_map, map_compose
+from .maps import FormalMap, map_compose
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,6 @@ class Witness:
     kind: str
     h: FormalMap
     checked_degree: int
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "h": format_map(self.h),
-            "degree": self.checked_degree,
-        }
 
 
 def verify_witness(

@@ -360,9 +360,13 @@ def format_scalar(x: Scalar) -> str:
     ScalarTooLargeError for a numerator or denominator longer than
     DIGIT_LIMIT digits.
     """
-    *nums, den = x._v
+    p, q, r, s, den = x._v
+    if not (q or r or s):
+        # the normal form of a rational has gcd(p, den) == 1 already
+        body = _digits(abs(p)) if den == 1 else _digits(abs(p)) + "/" + _digits(den)
+        return "-" + body if p < 0 else body
     parts = []
-    for num, unit in zip(nums, _UNIT_NAMES):
+    for num, unit in zip((p, q, r, s), _UNIT_NAMES):
         if num == 0:
             continue
         g = gcd(num, den)
@@ -372,8 +376,6 @@ def format_scalar(x: Scalar) -> str:
         if unit:
             body += "*" + unit
         parts.append(("-" if num < 0 else "+", body))
-    if not parts:
-        return "0"
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in parts[1:]:

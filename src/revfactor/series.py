@@ -28,7 +28,11 @@ with an i or r3 part anywhere holds (p, q, r, s) quadruples.  Most rows
 the pipeline makes are rational, and their products cost one integer
 multiply-add per term pair.  ``_accumulate`` sums products on ints when
 every operand is rational, and otherwise brings the rational operands to
-quadruples for the one quadruple kernel, ``_mul_into``.
+quadruples for the one quadruple kernel, ``_mul_into``.  It multiplies
+two rows that lie in one quadratic subfield Q(w), w one of i, r3 and
+i*r3, in a two-part loop of four integer multiplications a term pair (a
+rational row lies in every subfield), and any other two rows with the
+generic field product.
 ``Series.__mul__`` brings each operand over the lcm of its coefficients'
 denominators and reduces each coefficient of the product once.  A
 substitution runs on a ``Table``, which brings the inner series over one
@@ -430,15 +434,17 @@ def _scaled(rows, r: int) -> list:
     return [(key, (p * r, q * r, x * r, s * r)) for key, (p, q, x, s) in rows]
 
 
-def _accumulate(pairs, limit: int, den: int = 0):
+def _accumulate(pairs, limit: int, den: int = 0, acc=None):
     """The sum of a * b over the (a, b) in pairs, a and b nonempty
-    numerator rows: its nonzero coefficients over den as Scalars, or with
-    den 0 its nonzero rows, ints if every operand's are, else quadruples.
+    numerator rows, plus the integer sums in acc (key -> int, taken over)
+    when given: its nonzero coefficients over den as Scalars, or with den
+    0 its nonzero rows, ints if every operand's are, else quadruples.
 
     A product key not below limit is dropped, and each row of a stops at
     the first key of b not below limit, so b is sorted by key unless no
     pair reaches the limit."""
-    acc: dict = {}
+    if acc is None:
+        acc = {}
     for a, b in pairs:
         if type(a[0][1]) is not int or type(b[0][1]) is not int:
             break
@@ -454,6 +460,7 @@ def _accumulate(pairs, limit: int, den: int = 0):
         if den:
             return {key: _make(t, 0, 0, 0, den) for key, t in acc.items() if t}
         return [(key, t) for key, t in acc.items() if t]
+    acc = {key: [t, 0, 0, 0] for key, t in acc.items()}
     for a, b in pairs:
         if type(a[0][1]) is int:
             a = _quads(a)
@@ -465,32 +472,68 @@ def _accumulate(pairs, limit: int, den: int = 0):
     return [(key, t) for key, t in acc.items() if t[0] or t[1] or t[2] or t[3]]
 
 
+# the subfield {1, w} that a union of supports lies in, as (index of w in a
+# quadruple, w**2); a rational union takes the Q(i) loop, whose w part is 0
+_SUBFIELD = {0: (1, -1), 1: (1, -1), 2: (2, 3), 4: (3, -3)}
+
+
+def _support(rows) -> int:
+    """The units among i, r3 and i*r3 present anywhere in quadruple rows,
+    as the bits 1, 2 and 4."""
+    m = 0
+    for _, x in rows:
+        if x[1]:
+            m |= 1
+        if x[2]:
+            m |= 2
+        if x[3]:
+            m |= 4
+    return m
+
+
 def _mul_into(acc: dict, a, b, limit: int) -> None:
     """acc[ka + kb] += x * y for every (ka, x) in a and (kb, y) in b with
     ka + kb below limit, x and y numerator quadruples, and acc mapping
-    keys to lists [p, q, r, s] of integer sums."""
+    keys to lists [p, q, r, s] of integer sums.
+
+    When every entry of a and b lies in one subfield Q(w), w one of i, r3
+    and i*r3, a product (p + u*w)(e + v*w) is (pe + w**2 uv) + (pv + ue)w,
+    four multiplications; any other pair of rows takes the generic
+    product of the field."""
     get = acc.get
-    for ka, x in a:
-        p, q, r, s = x
-        mixed = q or r or s
+    sub = _SUBFIELD.get(_support(a) | _support(b))
+    if sub is not None:
+        j, d = sub
+        for ka, x in a:
+            p, u = x[0], x[j]
+            du = d * u
+            for kb, y in b:
+                key = ka + kb
+                if key >= limit:
+                    break
+                e, v = y[0], y[j]
+                t = get(key)
+                if t is None:
+                    t = acc[key] = [p * e + du * v, 0, 0, 0]
+                    t[j] = p * v + u * e
+                else:
+                    t[0] += p * e + du * v
+                    t[j] += p * v + u * e
+        return
+    for ka, (p, q, r, s) in a:
         for kb, (e, f, g, h) in b:
             key = ka + kb
             if key >= limit:
                 break
+            P, Q, R, S = _product(p, q, r, s, e, f, g, h)
             t = get(key)
-            if mixed or f or g or h:
-                P, Q, R, S = _product(p, q, r, s, e, f, g, h)
-                if t is None:
-                    acc[key] = [P, Q, R, S]
-                else:
-                    t[0] += P
-                    t[1] += Q
-                    t[2] += R
-                    t[3] += S
-            elif t is None:
-                acc[key] = [p * e, 0, 0, 0]
+            if t is None:
+                acc[key] = [P, Q, R, S]
             else:
-                t[0] += p * e
+                t[0] += P
+                t[1] += Q
+                t[2] += R
+                t[3] += S
 
 
 # ---------------------------------------------------------------------------
@@ -677,20 +720,30 @@ class Table:
     def _sum(self, items, chunks) -> Series:
         """The sum of c times the given chunks of g^e over the (e, c) in
         items, reduced once; chunks None is every chunk of a growing
-        table."""
+        table.  A rational c times an integer chunk is added term by term
+        into the integer sums; every other pair goes to ``_accumulate``
+        with c as a one-term row at key 0."""
         D, unit, N, limit = self._den, self._unit, self.trunc, self._limit
         top = max(e for e, _ in items) // unit
         L = lcm(*[c._v[4] for _, c in items])
-        pairs = []
+        acc, pairs = {}, []
+        get = acc.get
         for e, c in items:
             p, q, r, s, m = c._v
             u = L // m * D ** (top - e // unit)
-            head = [(0, (p * u, q * u, r * u, s * u)) if q or r or s else (0, p * u)]
+            x = None if q or r or s else p * u
+            head = [(0, (p * u, q * u, r * u, s * u) if x is None else x)]
             for chunk in chunks or range(e // unit, N + 1):
                 value = self._chunk(e, chunk)
-                if value:
+                if not value:
+                    continue
+                if x is not None and type(value[0][1]) is int:
+                    # the head's key is 0, so no key reaches the limit
+                    for kb, y in value:
+                        acc[kb] = get(kb, 0) + x * y
+                else:
                     pairs.append((head, value))
-        return _new(self.nvars, self.trunc, _accumulate(pairs, limit, L * D**top))
+        return _new(self.nvars, self.trunc, _accumulate(pairs, limit, L * D**top, acc))
 
     def _chunk(self, e: int, s: int):
         """Chunk s of g^e, e a packed monomial of the outer ring, as

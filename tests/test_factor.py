@@ -818,6 +818,29 @@ def test_certificate_roundtrip():
     assert report.ok
 
 
+def test_a_self_witness_is_formatted_once(monkeypatch):
+    # an involution is its own witness, so its text is written once and
+    # copied into the witness
+    F = parse_map(INSTANCES[0][1])
+    fz = factor_involutions(F)
+    selfs = sum(f.witness.kind == "involution_self" for f in fz.factors)
+    assert selfs
+    # format_map writes each component with format_series
+    format_series = maps.format_series
+    calls = []
+
+    def spy(s, header=True):
+        calls.append(s)
+        return format_series(s, header)
+
+    monkeypatch.setattr(maps, "format_series", spy)
+    cert = certificate(fz)
+    assert len(calls) == F.nvars * (1 + 2 * len(fz.factors) - selfs)
+    for item in cert["factors"]:
+        if item["witness"]["kind"] == "involution_self":
+            assert item["witness"]["h"] == item["map"]
+
+
 def test_certificate_digest_detects_tampering():
     F = parse_map(INSTANCES[0][1])
     cert = certificate(factor_reversibles(F))
@@ -1039,6 +1062,8 @@ N5_ODD_PARENT = (
     "comp5: { [0,0,0,0,1]: 1/2002 ; [0,0,1,1,0]: -2 ; [1,1,1,0,0]: 2 } }"
 )
 
+I_R3 = "map n=2 N=6 { comp1: { [1,0]: 3 ; [2,1]: 1*i*r3 } ; comp2: { [0,1]: 1/3 ; [1,2]: 5 } }"
+
 # sha256 of format_certificate(certificate(fz)) per instance, recorded
 # before the series layer moved to packed monomial keys.  The cases cover
 # both modes, coefficients with i and r3, and each place that conjugates
@@ -1084,6 +1109,12 @@ PINNED_CERTIFICATES = [
      "d3bb0996400c3641e564d9f2d694ec97906676be591ed851ebda0abb0b6c7398"),
     ("inv-n5-odd-parent", "involutive", N5_ODD_PARENT,
      "33b83b27ae77c45beb4dbe0bb97258be8687ed567fa31ce9d0818035ddf7137f"),
+    # an i*r3 coefficient: products whose rows lie in Q(i*r3) take the
+    # two-part loop with w**2 = -3
+    ("rev-i-r3", "reversible", I_R3,
+     "beb95e232eb21ac9255161d34c23658b3a1ce20246b9c90dce592146a84603cb"),
+    ("inv-i-r3", "involutive", I_R3,
+     "3a327dc41769a3f9ec6bbe79321b57b456e84e7115738a701b39d27531ba7e47"),
 ]
 
 
@@ -1099,7 +1130,9 @@ def test_certificate_bytes_are_pinned(mode, text, sha):
 # In involutive mode each factor is split into involutions where it is
 # made, before any conjugation: the split and its checks meet only the
 # undressed pieces, and a conjugation dresses only involutions.
-INVOLUTIVE_PINS = [c for c in PINNED_CERTIFICATES if c[1] == "involutive"]
+# The i*r3 map is a paired-centralizer member, split directly with no
+# conjugation, so nothing dresses its factors.
+INVOLUTIVE_PINS = [c for c in PINNED_CERTIFICATES if c[1] == "involutive" and c[0] != "inv-i-r3"]
 
 
 def _dressing_spy(monkeypatch, change=None):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from revfactor.factor import Factor, Factorization, certificate, certificate_factorization
 from revfactor.scalars import I, Scalar, scalar
 from revfactor.series import Series
 from revfactor.maps import (
@@ -11,7 +12,6 @@ from revfactor.maps import (
     conjugate_linear,
     map_compose,
     map_invert,
-    parse_map,
 )
 from revfactor.normalform import (
     Obstruction,
@@ -234,10 +234,14 @@ def test_reverser_nontrivial_correction():
 
 
 def test_witness_serialization_roundtrip():
-    h = _one_d({1: -1, 2: 2})
-    w = Witness("reverser", h, 6)
-    d = w.to_json()
-    assert Witness(d["kind"], parse_map(d["h"]), d["degree"]) == w
+    # witnesses travel in a certificate next to their factors
+    g, h, s = _one_d({1: 1, 2: 1}), _one_d({1: -1, 2: 2}), _one_d({1: -1})
+    factors = (
+        Factor(g, Witness("reverser", h, 6), "reversible"),
+        Factor(s, Witness("involution_self", s, 6), "involution"),
+    )
+    back = certificate_factorization(certificate(Factorization(g, "reversible", factors, ())))
+    assert [f.witness for f in back.factors] == [f.witness for f in factors]
 
 
 def test_verify_witness_rejects_tampering():

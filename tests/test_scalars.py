@@ -166,9 +166,21 @@ def test_format_scalar_refuses_what_the_reader_would_reject():
     for x in (Scalar(longest), Scalar(Fraction(-1, longest)), Scalar(0, longest, 1)):
         assert parse_scalar(format_scalar(x)) == x
     too_long = 10**4300
-    for x in (Scalar(too_long), Scalar(Fraction(1, too_long)), Scalar(0, 0, -too_long)):
+    for x in (
+        Scalar(too_long),
+        Scalar(-too_long),
+        Scalar(Fraction(1, too_long)),
+        Scalar(0, 0, -too_long),
+    ):
         with pytest.raises(ScalarTooLargeError):
             format_scalar(x)
+
+
+@given(st.fractions(), st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+def test_a_rational_formats_as_its_fraction(r, p, q):
+    # a rational's normal form is already in lowest terms
+    for x in (r, Fraction(p, q), Fraction(p)):
+        assert format_scalar(Scalar(x)) == str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the truncated series ring."""
 
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revfactor import series as series_module
 from revfactor.maps import FormalMap, format_map, parse_map
 from revfactor.scalars import Scalar, ScalarFormatError, rat
 from revfactor.series import (
@@ -446,6 +449,141 @@ def test_a_growing_table_takes_its_first_irrational_part_late(ring, k, data):
             assert dict(got.coeffs) == {e: v for e, v in ref.items() if sum(e) == d}
     for f, ref in zip(outer, want):
         assert dict(compose(Series(k, N, f), sargs, table).coeffs) == ref
+
+
+# ---------------------------------------------------------------------------
+# the subfield loops: rows whose coefficients all lie in one Q(w), w one of
+# i, r3 and i*r3, multiply with four products a term pair; a pair of rows
+# in two different subfields takes the generic field product, which the
+# kernel calls as series._product
+
+UNITS = (1, 2, 3)  # the index of w in the basis (1, i, r3, i*r3)
+
+
+def subfield_coeffs(j, rational=True):
+    """Elements a + b*w of Q(w), w the unit at index j; b is nonzero
+    unless ``rational``."""
+    def element(a, b):
+        parts = [a, 0, 0, 0]
+        parts[j] = b
+        return Scalar(*parts)
+
+    part = st.fractions(-3, 3, max_denominator=3)
+    return st.builds(element, part, part if rational else part.filter(bool))
+
+
+@st.composite
+def subfield_series(draw, n, N, j, low=0, at=None):
+    """A series with coefficients in Q(w), mostly rational ones, and a w
+    part at the monomial ``at`` or at a drawn one."""
+    g = draw(series_in(n, N, low, coeffs=st.one_of(rational_coeffs, subfield_coeffs(j))))
+    if at is None:
+        at = draw(st.sampled_from([e for d in range(low, N + 1) for e in _exponents(n, d)]))
+    g[at] = draw(subfield_coeffs(j, rational=False))
+    return g
+
+
+@contextmanager
+def generic_products():
+    """Count the kernel's calls of the generic field product."""
+    with mock.patch.object(series_module, "_product", wraps=series_module._product) as spy:
+        yield spy
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(), st.sampled_from(UNITS), st.data())
+def test_products_within_one_subfield_take_the_two_part_loop(ring, j, data):
+    n, N = ring
+    a, b = data.draw(subfield_series(n, N, j)), data.draw(subfield_series(n, N, j))
+    sa, sb = Series(n, N, a), Series(n, N, b)
+    cases = ((a, b, sa, sb), (b, a, sb, sa), (a, a, sa, sa))
+    want = [ref_mul(_nonzero(x), _nonzero(y), N) for x, y, _, _ in cases]
+    with generic_products() as spy:
+        got = [dict((sx * sy).coeffs) for _, _, sx, sy in cases]
+    assert got == want
+    assert spy.call_count == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(), st.sampled_from(UNITS), st.data())
+def test_rational_rows_meet_a_subfield_row_in_the_two_part_loop(ring, j, data):
+    # the rational operand is lifted to quadruples of support {1}
+    n, N = ring
+    a = data.draw(series_in(n, N, coeffs=rational_coeffs))
+    b = data.draw(subfield_series(n, N, j))
+    sa, sb = Series(n, N, a), Series(n, N, b)
+    want = ref_mul(_nonzero(a), _nonzero(b), N)
+    with generic_products() as spy:
+        assert dict((sa * sb).coeffs) == want
+        assert dict((sb * sa).coeffs) == want
+    assert spy.call_count == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(), st.permutations(UNITS), st.data())
+def test_products_across_two_subfields_take_the_generic_path(ring, units, data):
+    # both constant terms have a w part, so the pair of keys 0 is below
+    # the limit and meets the generic product
+    n, N = ring
+    j, k = units[:2]
+    zero = (0,) * n
+    a, b = data.draw(subfield_series(n, N, j, at=zero)), data.draw(subfield_series(n, N, k, at=zero))
+    sa, sb = Series(n, N, a), Series(n, N, b)
+    want = ref_mul(_nonzero(a), _nonzero(b), N)
+    with generic_products() as spy:
+        assert dict((sa * sb).coeffs) == want
+    assert spy.call_count >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings(), st.integers(1, 3), st.sampled_from(UNITS), st.sampled_from(UNITS), st.data())
+def test_a_shared_fixed_table_of_subfield_rows(ring, k, j, jf, data):
+    # substitutions in Q(w) or rational share one table; the outer series
+    # lie in Q(w) or in another subfield
+    n, N = ring
+    lows = st.integers(0, 1)
+    args = [data.draw(subfield_series(n, N, j, low=data.draw(lows)))]
+    for _ in range(k - 1):
+        low = data.draw(lows)
+        args.append(data.draw(st.one_of(
+            subfield_series(n, N, j, low=low), series_in(n, N, low, coeffs=rational_coeffs)
+        )))
+    sargs = [Series(n, N, g) for g in args]
+    outer = [data.draw(subfield_series(k, N, jf)) for _ in range(data.draw(st.integers(2, 3)))]
+    want = [ref_compose(_nonzero(f), args, n, N) for f in outer]
+    table = Table(sargs)
+    with generic_products() as spy:
+        got = [dict(compose(Series(k, N, f), sargs, table).coeffs) for f in outer]
+    assert got == want
+    if jf == j:
+        assert spy.call_count == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings().filter(lambda r: r[1] >= 2), st.integers(1, 3), st.sampled_from(UNITS), st.data())
+def test_a_growing_table_takes_its_first_subfield_part_late(ring, k, j, data):
+    # every part below degree d0 is rational; the first w part arrives at d0
+    n, N = ring
+    d0 = data.draw(st.integers(2, N))
+    args = []
+    for _ in range(k):
+        g = data.draw(series_in(n, N, low=1, coeffs=rational_coeffs))
+        late = data.draw(series_in(n, N, low=d0, coeffs=subfield_coeffs(j)))
+        args.append({e: v for e, v in g.items() if sum(e) < d0} | late)
+    first = data.draw(st.sampled_from(list(_exponents(n, d0))))
+    args[data.draw(st.integers(0, k - 1))][first] = data.draw(subfield_coeffs(j, rational=False))
+    sargs = [Series(n, N, g) for g in args]
+    outer = [data.draw(subfield_series(k, N, j, low=1)) for _ in range(2)]
+    want = [ref_compose(_nonzero(f), args, n, N) for f in outer]
+    table = Table([g.homogeneous_component(1) for g in sargs], growing=True)
+    with generic_products() as spy:
+        for d in range(1, N + 1):
+            if d > 1:
+                table.extend([g.homogeneous_component(d) for g in sargs], d)
+            for f, ref in zip(outer, want):
+                got = table.part(Series(k, N, f), d)
+                assert dict(got.coeffs) == {e: v for e, v in ref.items() if sum(e) == d}
+    assert spy.call_count == 0
 
 
 # ---------------------------------------------------------------------------
