@@ -90,8 +90,12 @@ class Factorization:
         return len(self.factors)
 
     def recompose(self) -> FormalMap:
-        prod = FormalMap.identity(self.target.nvars, self.target.trunc)
-        for f in self.factors:
+        """The product of the factors, in order; the identity when there
+        are none."""
+        if not self.factors:
+            return FormalMap.identity(self.target.nvars, self.target.trunc)
+        prod = self.factors[0].map
+        for f in self.factors[1:]:
             prod = map_compose(prod, f.map)
         return prod
 
@@ -817,13 +821,13 @@ def verify_factorization(fz: Factorization) -> FactorReport:
     n = fz.target.nvars
     det = fz.target.linear_part().det()
     k = len(fz.factors)
-    prod = FormalMap.identity(n, fz.target.trunc)
+    prod = None if k else FormalMap.identity(n, fz.target.trunc)
     for i, f in enumerate(fz.factors, start=1):
         # one substitution table for f serves every composition with f
         # inside: the recomposition step, the square and (f o h) o f; one
         # square serves the involution check and the witness check
         table = Table(f.map.comps)
-        prod = map_compose(prod, f.map, table)
+        prod = f.map if prod is None else map_compose(prod, f.map, table)
         square = map_compose(f.map, f.map, table) if fz.mode == "involutive" else None
         checks.append(
             (

@@ -38,16 +38,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return _matrix(tuple((ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def diagonal(cls, entries):
-        entries = list(entries)
+        entries = [scalar(x) for x in entries]
         n = len(entries)
-        return cls(
-            [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        return _matrix(
+            tuple(tuple(entries[i] if i == j else ZERO for j in range(n)) for i in range(n))
         )
 
     @classmethod
@@ -56,8 +54,8 @@ class Matrix:
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError(f"not a permutation: {perm}")
-        return cls(
-            [[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        return _matrix(
+            tuple(tuple(ONE if j == perm[i] else ZERO for j in range(n)) for i in range(n))
         )
 
     def __eq__(self, other):
@@ -90,7 +88,11 @@ class Matrix:
         )
 
     def det(self) -> Scalar:
-        """Exact determinant by fraction-free-ish Gaussian elimination."""
+        """Exact determinant by Gaussian elimination over the field.
+
+        A row whose entry in the pivot column is zero is left alone, and
+        the pivot is inverted only once a row below it needs clearing, so
+        a monomial matrix costs no inverse and no row operation."""
         n = self.n
         rows = [list(r) for r in self.rows]
         det = ONE
@@ -103,19 +105,22 @@ class Matrix:
             if pivot != col:
                 rows[col], rows[pivot] = rows[pivot], rows[col]
                 det = -det
-            p = rows[col][col]
-            det = det * p
-            inv = p.inverse()
+            top = rows[col]
+            det = det * top[col]
+            inv = None
             for r in range(col + 1, n):
-                f = rows[r][col] * inv
-                if f.is_zero():
+                x = rows[r][col]
+                if x.is_zero():
                     continue
-                rows[r] = [
-                    x - f * y for x, y in zip(rows[r], rows[col])
-                ]
+                if inv is None:
+                    inv = top[col].inverse()
+                rows[r] = _eliminate(rows[r], x * inv, top)
         return det
 
     def inverse(self) -> "Matrix":
+        """Exact inverse by Gauss-Jordan elimination on [M | I], skipping
+        zero entries as ``det`` does; raises ZeroDivisionError if M is
+        singular."""
         n = self.n
         work = [
             list(row) + [ONE if i == j else ZERO for j in range(n)]
@@ -128,16 +133,15 @@ class Matrix:
             if pivot is None:
                 raise ZeroDivisionError("matrix is singular")
             work[col], work[pivot] = work[pivot], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [x * inv for x in work[col]]
+            top = work[col]
+            if not top[col].is_one():
+                inv = top[col].inverse()
+                top = work[col] = [x if x.is_zero() else x * inv for x in top]
             for r in range(n):
-                if r == col:
-                    continue
                 f = work[r][col]
-                if f.is_zero():
-                    continue
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
+                if r != col and not f.is_zero():
+                    work[r] = _eliminate(work[r], f, top)
+        return _matrix(tuple(tuple(row[n:]) for row in work))
 
     def entry(self, i, j) -> Scalar:
         return self.rows[i][j]
@@ -162,6 +166,19 @@ class Matrix:
 
     def is_identity(self) -> bool:
         return self == Matrix.identity(self.n)
+
+
+def _matrix(rows: tuple) -> Matrix:
+    # internal: trusts rows to be a square tuple of tuples of Scalars
+    M = object.__new__(Matrix)
+    M.rows = rows
+    M.n = len(rows)
+    return M
+
+
+def _eliminate(row: list, f: Scalar, top: list) -> list:
+    """row - f * top, leaving the entries above a zero of top as they are."""
+    return [x if y.is_zero() else x - f * y for x, y in zip(row, top)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +214,16 @@ class FormalMap:
 
     @classmethod
     def identity(cls, n, N):
-        return cls([Series.variable(n, N, j) for j in range(n)])
+        if not n:
+            raise ValueError("map needs at least one component")
+        return cls.__new_raw__(n, N, tuple(Series.variable(n, N, j) for j in range(n)))
 
     @classmethod
     def from_linear(cls, M: Matrix, N: int):
         n = M.n
-        return cls(
-            [
-                Series(
-                    n,
-                    N,
-                    {
-                        tuple(1 if k == j else 0 for k in range(n)): M.entry(i, j)
-                        for j in range(n)
-                        if not M.entry(i, j).is_zero()
-                    },
-                )
-                for i in range(n)
-            ]
-        )
+        if not n:
+            raise ValueError("map needs at least one component")
+        return cls.__new_raw__(n, N, tuple(Series._linear(n, N, row) for row in M.rows))
 
     @classmethod
     def diagonal(cls, entries, N: int):
@@ -243,14 +251,10 @@ class FormalMap:
         return f"<{format_map(self)}>"
 
     def is_identity(self) -> bool:
-        return self == FormalMap.identity(self.nvars, self.trunc)
+        return all(c._is_variable(j) for j, c in enumerate(self.comps))
 
     def linear_part(self) -> Matrix:
-        n = self.nvars
-        units = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-        return Matrix(
-            [[self.comps[i].coefficient(units[j]) for j in range(n)] for i in range(n)]
-        )
+        return _matrix(tuple(c._degree_one() for c in self.comps))
 
     def truncate(self, new_trunc: int) -> "FormalMap":
         """A copy truncated at a (usually lower) degree."""

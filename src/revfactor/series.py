@@ -221,9 +221,15 @@ class Series:
     @classmethod
     def variable(cls, nvars, trunc, j):
         """The coordinate series t_j (0-based j)."""
-        e = [0] * nvars
-        e[j] = 1
-        return cls(nvars, trunc, {tuple(e): 1})
+        unit, place, _ = _ring(nvars, trunc)
+        return _new(nvars, trunc, {unit + place[j]: ONE})
+
+    @classmethod
+    def _linear(cls, nvars, trunc, row) -> "Series":
+        """The linear form row[0] t_1 + ... + row[n-1] t_n, row a
+        sequence of Scalars, written at the degree-one keys."""
+        unit, place, _ = _ring(nvars, trunc)
+        return _new(nvars, trunc, {unit + p: c for p, c in zip(place, row) if not c.is_zero()})
 
     def _raw(self, terms: dict) -> "Series":
         return _new(self.nvars, self.trunc, terms)
@@ -253,6 +259,21 @@ class Series:
         if len(e) != self.nvars or sum(e) > self.trunc or min(e) < 0:
             return ZERO
         return self._terms.get(_pack(e, self.trunc + 1), ZERO)
+
+    def _degree_one(self) -> tuple:
+        """The coefficients of t_1, ..., t_n, read at the degree-one keys."""
+        unit, place, _ = _ring(self.nvars, self.trunc)
+        get = self._terms.get
+        return tuple(get(unit + p, ZERO) for p in place)
+
+    def _is_variable(self, j: int) -> bool:
+        """Whether the series is exactly the coordinate t_j (0-based j)."""
+        terms = self._terms
+        if len(terms) != 1:
+            return False
+        unit, place, _ = _ring(self.nvars, self.trunc)
+        c = terms.get(unit + place[j])
+        return c is not None and c.is_one()
 
     def homogeneous_component(self, d: int) -> "Series":
         unit = _ring(self.nvars, self.trunc)[0]

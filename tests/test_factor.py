@@ -742,6 +742,33 @@ def test_nothing_left_to_factor(entries, trace, factor):
     assert verify_certificate(certificate(fz)).ok
 
 
+def test_zero_factors_recompose_to_the_identity_only():
+    # the product of no factors is the identity, so a re-digested
+    # certificate that keeps them but claims another target fails
+    cert = certificate(factor_reversibles(_diag_map([1, 1], 5)))
+    assert cert["factors"] == []
+    cert["target"] = format_map(_diag_map([2, Q(1, 2)], 5))
+    cert["digest"] = _digest(cert)
+    assert _failing(verify_certificate(cert)) == ["recomposition"]
+    target = parse_map(cert["target"])
+    fz = Factorization(target, "reversible", (), ())
+    assert fz.recompose().is_identity()
+    assert _failing(verify_factorization(fz)) == ["recomposition"]
+
+
+@pytest.mark.parametrize("mode", ["reversible", "involutive"])
+def test_one_factor_must_equal_the_target(mode):
+    # the product starts at the first factor: a lone factor that differs
+    # from the target in one coefficient still fails the recomposition
+    F = _diag_map([-1, 1], 5)
+    cert = certificate(factor_reversibles(F) if mode == "reversible" else factor_involutions(F))
+    assert [f["map"] for f in cert["factors"]] == [format_map(F)]
+    changed = parse_map("map n=2 N=5 { comp1: { [1,0]: -1 } ; comp2: { [0,1]: 1 ; [2,0]: 1 } }")
+    cert["target"] = format_map(changed)
+    cert["digest"] = _digest(cert)
+    assert _failing(verify_certificate(cert)) == ["recomposition"]
+
+
 # ---------------------------------------------------------------------------
 # verification reports
 

@@ -1,7 +1,7 @@
 """Tests for the formal-map group operations and exact matrices."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +59,146 @@ def test_matrix_shape_predicates():
     P = Matrix.permutation([1, 0])
     assert not P.is_diagonal()
     assert Matrix([[1, 1], [0, 2]]).is_upper_triangular()
+
+
+_FIELD = st.builds(
+    Scalar,
+    *[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 4,
+).filter(lambda x: not x.is_zero())
+# about half of the entries zero
+_SPARSE = st.one_of(st.just(Scalar(0)), _FIELD)
+
+
+@st.composite
+def field_matrices(draw):
+    """An n x n matrix over Q(i, r3), n = 1..5: monomial, triangular,
+    singular (one row a multiple of another, or a zero row) or dense,
+    with about half of the free entries zero."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["monomial", "triangular", "singular", "dense"]))
+    rows = [[draw(_SPARSE) for _ in range(n)] for _ in range(n)]
+    if shape == "monomial":
+        perm = draw(st.permutations(range(n)))
+        rows = [[draw(_FIELD) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    elif shape == "triangular":
+        upper = draw(st.booleans())
+        rows = [[x if (j >= i) == upper or i == j else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    elif shape == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(_SPARSE) if i != j else Scalar(0)
+        rows[i] = [c * x for x in rows[j]]
+    return Matrix(rows)
+
+
+def _reference_det(M):
+    """The permutation expansion: sum of sign(p) * prod M[i][p(i)]."""
+    n, total = M.n, Scalar(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+        term = Scalar(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term = term * M.entry(i, p[i])
+        total = total + term
+    return total
+
+
+@given(field_matrices())
+@settings(max_examples=120, deadline=None)
+def test_det_and_inverse_match_the_definitions(M):
+    det = _reference_det(M)
+    assert M.det() == det
+    if det.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            M.inverse()
+    else:
+        assert M * M.inverse() == Matrix.identity(M.n)
+        assert M.inverse() * M == Matrix.identity(M.n)
+
+
+def _units(n):
+    return [tuple(int(k == j) for k in range(n)) for j in range(n)]
+
+
+def _identity_by_definition(n, N):
+    return FormalMap([Series(n, N, {u: 1}) for u in _units(n)])
+
+
+@st.composite
+def field_maps(draw):
+    """A map over Q(i, r3) in 1-4 variables at N = 1..5, its components
+    drawn term by term: often the identity plus a few terms."""
+    n, N = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    monomials = [e for e in product(range(N + 1), repeat=n) if 1 <= sum(e) <= N]
+    comps = []
+    for u in _units(n):
+        c = {u: 1} if draw(st.booleans()) else {}
+        c.update(draw(st.dictionaries(st.sampled_from(monomials), _SPARSE, max_size=3)))
+        comps.append(Series(n, N, c))
+    return FormalMap(comps)
+
+
+def near_identity(miss, n, N):
+    """The identity map changed by one near miss."""
+    units = _units(n)
+    comps = [{u: 1} for u in units]
+    if miss == "unit-minus-one":
+        comps[-1][units[-1]] = -1
+    elif miss == "unit-one-plus-i":
+        comps[0][units[0]] = I + 1
+    elif miss == "extra-term":
+        # at N = 1 the only terms left to add are degree one
+        e = (2,) + (0,) * (n - 1) if N > 1 else units[-1]
+        comps[0][e] = comps[0].get(e, 0) + 3
+    elif miss == "swapped":
+        comps.reverse()
+    else:
+        comps[-1].clear()
+    return FormalMap([Series(n, N, c) for c in comps])
+
+
+NEAR_MISSES = ["unit-minus-one", "unit-one-plus-i", "extra-term", "swapped", "empty-component"]
+
+
+@pytest.mark.parametrize("N", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("miss", NEAR_MISSES)
+def test_near_misses_are_not_the_identity(miss, n, N):
+    F = near_identity(miss, n, N)
+    # swapping the coordinates of one variable changes nothing
+    expected = (miss, n) == ("swapped", 1)
+    assert (F == _identity_by_definition(n, N)) == expected
+    assert F.is_identity() == expected
+    assert FormalMap.identity(n, N) == _identity_by_definition(n, N)
+    assert FormalMap.identity(n, N).is_identity()
+
+
+@given(st.one_of(field_maps(), st.builds(
+    near_identity, st.sampled_from(NEAR_MISSES), st.integers(1, 4), st.integers(1, 5)
+)))
+@settings(max_examples=120, deadline=None)
+def test_linear_part_and_is_identity_match_their_definitions(F):
+    n, N = F.nvars, F.trunc
+    L = Matrix([[c.coefficient(u) for u in _units(n)] for c in F.comps])
+    assert F.linear_part() == L
+    assert F.is_identity() == (F == _identity_by_definition(n, N))
+    linear = FormalMap([Series(n, N, dict(zip(_units(n), row))) for row in L.rows])
+    assert FormalMap.from_linear(L, N) == linear
+
+
+def test_linear_constructors_match_the_validating_constructor():
+    for n in (1, 2, 4):
+        for N in (1, 3):
+            units = _units(n)
+            perm = list(reversed(range(n)))
+            entries = [Scalar(k + 1, -k) for k in range(n)]
+            assert FormalMap.identity(n, N) == _identity_by_definition(n, N)
+            assert FormalMap.diagonal(entries, N) == FormalMap(
+                [Series(n, N, {units[i]: entries[i]}) for i in range(n)]
+            )
+            assert FormalMap.permutation(perm, N) == FormalMap(
+                [Series(n, N, {units[perm[i]]: 1}) for i in range(n)]
+            )
 
 
 # -- group operations --------------------------------------------------
