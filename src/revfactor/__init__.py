@@ -50,8 +50,6 @@ from .factor import (  # noqa: F401
     certificate,
     certificate_factorization,
     factor_budget,
-    factor_dim1_involutions,
-    factor_dim1_reversibles,
     factor_involutions,
     factor_reversibles,
     format_certificate,

@@ -9,8 +9,9 @@ Verbs::
                                saves the tangent-to-identity conjugator)
     split A.map                print the base map of a paired-centralizer
                                element (--kernel FILE saves the kernel part)
-    factor --mode M A.map      factor into reversible maps or involutions
-                               and write a certificate (default A.cert.json)
+    factor --mode M A.map      factor a map in any number of variables into
+                               reversible maps or involutions and write a
+                               certificate (default A.cert.json)
     verify CERT.json           replay every check in a certificate
     bounds                     print the factor-count table (--n, --mode,
                                --format table|json)
@@ -22,8 +23,9 @@ degree above what an input carries is refused, since the file does not
 claim that much.  ``verify`` defaults to the certificate's own degree.
 
 Exit codes: 0 success, 1 a verification check failed, 2 malformed or
-inconsistent input, 3 a mathematical obstruction was reported, 4 an
-internal error (a bug in revfactor, not a verdict on the input).
+inconsistent input (an argument out of range and an output path that
+cannot be written included), 3 a mathematical obstruction was reported,
+4 an internal error (a bug in revfactor, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .factor import (
     FactorObstruction,
     certificate,
     factor_budget,
-    factor_dim1_involutions,
-    factor_dim1_reversibles,
     factor_involutions,
     factor_reversibles,
     format_certificate,
@@ -49,13 +49,7 @@ from .factor import (
 )
 from .maps import FormalMap, conjugate, format_map, map_compose, map_invert, parse_map
 from .normalform import poincare_dulac
-from .scalars import (
-    ONE,
-    ScalarFormatError,
-    ScalarTooLargeError,
-    TextFormatError,
-    parse_scalar,
-)
+from .scalars import ONE, ScalarTooLargeError, TextFormatError
 from .series import TruncationMismatch
 from .structure import ShapeError, split_centralizer
 
@@ -85,6 +79,13 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(INPUT_ERROR, f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_map(path: str, degree: int) -> FormalMap:
     if degree < 1:
         raise CliError(INPUT_ERROR, f"truncation degree must be positive, got {degree}")
@@ -102,17 +103,6 @@ def _load_map(path: str, degree: int) -> FormalMap:
     if degree < F.trunc:
         F = F.truncate(degree)
     return F
-
-
-def _parse_seeds(text):
-    if not text:
-        return None
-    try:
-        return tuple(
-            parse_scalar(tok) for tok in text.split(",") if tok.strip()
-        )
-    except ScalarFormatError as exc:
-        raise CliError(INPUT_ERROR, f"bad seed list: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +146,7 @@ def _cmd_normalize(args):
         raise CliError(INPUT_ERROR, str(exc)) from None
     print(format_map(G))
     if args.conjugator:
-        Path(args.conjugator).write_text(format_map(K) + "\n")
+        _write_text(args.conjugator, format_map(K) + "\n")
     return OK
 
 
@@ -172,20 +162,14 @@ def _cmd_split(args):
         raise CliError(INPUT_ERROR, str(exc)) from None
     print(format_map(chi))
     if args.kernel:
-        Path(args.kernel).write_text(format_map(Phi) + "\n")
+        _write_text(args.kernel, format_map(Phi) + "\n")
     return OK
 
 
 def _cmd_factor(args):
     F = _load_map(args.map, args.truncation)
-    seeds = _parse_seeds(args.seeds)
     try:
-        if F.nvars == 1:
-            if args.mode == "reversible":
-                fz = factor_dim1_reversibles(F, seeds=seeds)
-            else:
-                fz = factor_dim1_involutions(F)
-        elif args.mode == "reversible":
+        if args.mode == "reversible":
             fz = factor_reversibles(F)
         else:
             fz = factor_involutions(F)
@@ -199,7 +183,7 @@ def _cmd_factor(args):
     except (ValueError, ShapeError) as exc:
         raise CliError(INPUT_ERROR, str(exc)) from None
     out = Path(args.out) if args.out else Path(args.map).with_suffix(".cert.json")
-    out.write_text(format_certificate(certificate(fz)))
+    _write_text(out, format_certificate(certificate(fz)))
     det_minus = F.linear_part().det() == -ONE
     budget = factor_budget(F.nvars, fz.mode, det_minus)
     print(f"factors: {len(fz.factors)} (budget {budget}, mode {fz.mode})")
@@ -219,10 +203,13 @@ def _cmd_verify(args):
 
 
 def _cmd_bounds(args):
-    if args.mode == "involutive":
-        table = compute_involution_bounds(args.n)
-    else:
-        table = compute_bounds(args.n)
+    try:
+        if args.mode == "involutive":
+            table = compute_involution_bounds(args.n)
+        else:
+            table = compute_bounds(args.n)
+    except ValueError as exc:
+        raise CliError(INPUT_ERROR, str(exc)) from None
     print(table.as_text() if args.format == "table" else table.as_json())
     return OK
 
@@ -290,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kind of factors to produce (default %(default)s)",
     )
     sp.add_argument("--out", metavar="FILE", help="certificate path")
-    sp.add_argument(
-        "--seeds",
-        metavar="LIST",
-        help="comma-separated scalar seeds for the one-variable reverser search",
-    )
     trunc_flag(sp)
     sp.set_defaults(run=_cmd_factor)
 

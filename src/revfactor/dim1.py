@@ -320,13 +320,12 @@ def _shift_split(g: FormalMap):
     return [(F, Witness("involutive_reverser", flip(N), N)), (G, wG)]
 
 
-def split_reversibles(g: FormalMap, seeds=None):
+def split_reversibles(g: FormalMap):
     """A one-variable map with multiplier +-1 as at most two reversible
     factors, each with a reversing witness that the caller checks.
 
     Returns a list of (factor, Witness) pairs whose left-to-right
-    composition is exactly g.  ``seeds`` overrides the linear seeds the
-    reverser search tries first.
+    composition is exactly g.
     """
     N = g.trunc
     lam = multiplier(g)
@@ -341,15 +340,15 @@ def split_reversibles(g: FormalMap, seeds=None):
                 return [(g, w)]
             out = _p1_split(g)
         elif p == 2:
-            w = reverser_search(g, seeds=seeds or (I_UNIT, -I_UNIT))
+            w = reverser_search(g, seeds=(I_UNIT, -I_UNIT))
             out = [(g, w)] if w is not None else _p2_split(g)
         else:
-            w = reverser_search(g, seeds=seeds)
+            w = reverser_search(g)
             out = [(g, w)] if w is not None else _shift_split(g)
     elif lam == -ONE:
         if is_involution(g):
             return [(g, Witness("involution_self", g, N))]
-        w = reverser_search(g, seeds=seeds)
+        w = reverser_search(g)
         if w is not None:
             out = [(g, w)]
         else:

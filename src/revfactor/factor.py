@@ -1,11 +1,15 @@
 """Factor pipelines: reversible and involutive factorizations with
 verified witnesses, plus portable certificates.
 
-The drivers accept maps whose linear part is diagonal (or upper
-triangular with distinct eigenvalues, which is diagonalized first) and
-has determinant +-1.  A diagonal that is not pair-reciprocal has one
-split, ``_split_diagonal``, into two strongly reversible linear factors
-and a generic paired rest.  One routine, ``_rebalance``, composes a
+The drivers accept maps in any number n >= 1 of variables.  A map in one
+variable is the base case: it is split directly, into at most two
+reversible factors or at most four involutions, by the leaf conversion
+``_leaf_pieces`` that the pair recursion also bottoms out at.  For
+n >= 2 the linear part must be diagonal (or upper triangular with
+distinct eigenvalues, which is diagonalized first) and have determinant
++-1.  A diagonal that is not pair-reciprocal has one split,
+``_split_diagonal``, into two strongly reversible linear factors and a
+generic paired rest.  One routine, ``_rebalance``, composes a
 linear map onto the map, diagonalizes, permutes and normalizes, for that
 rest and for each fresh-prime rebalance.  The engine walks the pair
 recursion: split the map against the half-dimensional base, recurse, and
@@ -453,6 +457,28 @@ def _rebalance(X: FormalMap, M: Matrix, sigma: tuple, what: str, trace):
 
 
 # ---------------------------------------------------------------------------
+# the one-variable leaf
+
+def _leaf_pieces(g: FormalMap, mode: str, trace=()) -> list:
+    """A one-variable map as pieces (map, spec, kind): at most two
+    reversible pieces, or in involutive mode involutions, where the
+    splitter's Obstruction is raised as a FactorObstruction."""
+    if mode == "reversible":
+        return [
+            (m, SELF if w.kind == "involution_self" else w.h, _kind_for_witness(w))
+            for m, w in dim1.split_reversibles(g)
+        ]
+    parts = dim1.split_involutions(g)
+    if isinstance(parts, Obstruction):
+        raise FactorObstruction(
+            "one-variable leaf admits no involution product: " + parts.note,
+            obstruction=parts,
+            trace=trace,
+        )
+    return [(I, SELF, "involution") for I in parts]
+
+
+# ---------------------------------------------------------------------------
 # the level machine over base variables
 
 
@@ -466,32 +492,22 @@ def _factor_unit_group(X: FormalMap, weights, odd_last: bool, mode: str, trace):
     if X.is_identity():
         return []
     if k == 1:
-        if mode == "involutive":
-            parts = dim1.split_involutions(X)
-            if isinstance(parts, Obstruction):
-                # The leaf weight hides the cubic coefficient, so the
-                # visible jet extends to a homography with vanishing
-                # invariant; that completion recomposes X through the
-                # visibility window and splits into two involutions.
-                g2 = dim1.coeff(X, 2)
-                mu = dim1.poly1({1: 1, 2: g2, 3: g2 * g2}, N)
-                if _weighted_canonical(mu, weights, odd_last) == X:
-                    parts = dim1.split_involutions(mu)
-                    trace.append(
-                        "completed a leaf jet to a homography before "
-                        "splitting into involutions"
-                    )
-            if isinstance(parts, Obstruction):
-                raise FactorObstruction(
-                    "one-variable leaf admits no involution product: "
-                    + parts.note,
-                    obstruction=parts,
-                    trace=trace,
-                )
-            return [(I, SELF, "involution") for I in parts]
-        return [
-            (m, w.h, _kind_for_witness(w)) for m, w in dim1.split_reversibles(X)
-        ]
+        try:
+            return _leaf_pieces(X, mode, trace)
+        except FactorObstruction:
+            # The leaf weight hides the cubic coefficient, so the visible
+            # jet extends to a homography with vanishing invariant; that
+            # completion recomposes X through the visibility window and
+            # splits into two involutions.
+            g2 = dim1.coeff(X, 2)
+            mu = dim1.poly1({1: 1, 2: g2, 3: g2 * g2}, N)
+            if _weighted_canonical(mu, weights, odd_last) != X:
+                raise
+            trace.append(
+                "completed a leaf jet to a homography before "
+                "splitting into involutions"
+            )
+            return _leaf_pieces(mu, mode)
     pre = []
     K = None
     if centralizer_membership(X):
@@ -555,12 +571,8 @@ def _s_machine(S: FormalMap, trace) -> list:
         raise AssertionError("balancing left a low-order base coefficient")
     inner = []
     if not chi_i.is_identity():
-        parts = dim1.split_involutions(chi_i)
-        if isinstance(parts, Obstruction):  # pragma: no cover
-            raise FactorObstruction(
-                "balanced base map still obstructed", obstruction=parts
-            )
-        inner += [lift_section(I, 2) for I in parts]
+        pieces = _leaf_pieces(chi_i, "involutive", trace)
+        inner = [lift_section(I, 2) for I, _, _ in pieces]
     X0 = FormalMap.from_linear(T * L1.inverse() * T.inverse(), N)
     W0 = FormalMap.from_linear(
         T * Matrix.permutation((1, 0)) * T.inverse(), N
@@ -590,17 +602,10 @@ def _base2_involutions(chi: FormalMap, trace) -> list:
     if not alpha.is_zero():
         chi1 = dim1.poly1({1: 1, 2: alpha, 3: alpha * alpha}, N)
         rest = map_compose(map_invert(chi1), chi)
-        parts = dim1.split_involutions(chi1)
-        if isinstance(parts, Obstruction):  # pragma: no cover - invariant 0
-            raise FactorObstruction("homography piece obstructed")
-        out += [(lift_section(I, 2), SELF, "involution") for I in parts]
+        out += [_lift_piece(p, 2) for p in _leaf_pieces(chi1, "involutive", trace)]
     if not rest.is_identity():
-        theta = dim1.theta_invariant(rest)
-        if theta.is_zero():
-            parts = dim1.split_involutions(rest)
-            if isinstance(parts, Obstruction):  # pragma: no cover
-                raise FactorObstruction("remainder obstructed", obstruction=parts)
-            out += [(lift_section(I, 2), SELF, "involution") for I in parts]
+        if dim1.theta_invariant(rest).is_zero():
+            out += [_lift_piece(p, 2) for p in _leaf_pieces(rest, "involutive", trace)]
         else:
             S = lift_section(rest, 2)
             out += [(I, SELF, "involution") for I in _s_machine(S, trace)]
@@ -688,13 +693,26 @@ def _involutionize(pieces: list, mode: str) -> list:
     return out
 
 
+def _factor_dim1(g: FormalMap, mode: str) -> Factorization:
+    """The base case n = 1: the leaf pieces of g as factors, or g itself
+    when it is an involution in involutive mode."""
+    if mode == "reversible":
+        pieces, note = _leaf_pieces(g, mode), "one-variable split"
+    elif is_involution(g) and not g.is_identity():
+        pieces, note = [(g, SELF, "involution")], "already an involution"
+    elif dim1.multiplier(g) != ONE:
+        raise FactorObstruction(
+            "the one-variable involution split needs multiplier 1 or an involution"
+        )
+    else:
+        pieces, note = _leaf_pieces(g, mode), "one-variable involution split"
+    return Factorization(g, mode, tuple(_involutionize(pieces, mode)), (note,))
+
+
 def _drive(F: FormalMap, mode: str) -> Factorization:
     n, N = F.nvars, F.trunc
-    if n < 2:
-        raise ValueError(
-            "drivers need at least two variables; "
-            "use factor_dim1_reversibles for one"
-        )
+    if n == 1:
+        return _recomposed(_factor_dim1(F, mode))
     trace: list = []
     factors: list = []
     work = F
@@ -732,7 +750,7 @@ def _drive(F: FormalMap, mode: str) -> Factorization:
 
 def _recomposed(fz: Factorization) -> Factorization:
     """fz, once its factors are checked to compose to its target: the
-    one recomposition each front end makes."""
+    one recomposition a factorization gets, whatever its n."""
     if fz.recompose() != fz.target:
         raise AssertionError(f"{fz.mode} factorization failed to recompose")
     return fz
@@ -746,44 +764,6 @@ def factor_reversibles(F: FormalMap) -> Factorization:
 def factor_involutions(F: FormalMap) -> Factorization:
     """Factor F into exact involutions."""
     return _drive(F, "involutive")
-
-
-def factor_dim1_reversibles(g: FormalMap, seeds=None) -> Factorization:
-    """One-variable front end: at most two reversible factors."""
-    if g.nvars != 1:
-        raise ValueError("expected a one-variable map")
-    factors = tuple(
-        _piece_factor(
-            (m, SELF if w.kind == "involution_self" else w.h, _kind_for_witness(w))
-        )
-        for m, w in dim1.split_reversibles(g, seeds=seeds)
-    )
-    return _recomposed(
-        Factorization(g, "reversible", factors, ("one-variable split",))
-    )
-
-
-def factor_dim1_involutions(g: FormalMap) -> Factorization:
-    """One-variable front end: a tangent map as at most four exact
-    involutions.  Maps with a nonzero cubic invariant, or multiplier
-    other than 1, are outside the class and raise FactorObstruction."""
-    if g.nvars != 1:
-        raise ValueError("expected a one-variable map")
-    if is_involution(g) and not g.is_identity():
-        parts, note = [g], "already an involution"
-    else:
-        try:
-            parts = dim1.split_involutions(g)
-        except ValueError as exc:
-            raise FactorObstruction(str(exc)) from None
-        if isinstance(parts, Obstruction):
-            raise FactorObstruction(
-                "no involution product exists: " + parts.note, obstruction=parts
-            )
-        note = "one-variable involution split"
-    return _recomposed(
-        Factorization(g, "involutive", tuple(_involution(m) for m in parts), (note,))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1029,10 +1009,13 @@ def verify_certificate(cert: dict, degree: int | None = None) -> FactorReport:
     """Replay a certificate's checks by composition.
 
     ``degree`` asks for verification at that truncation; a certificate
-    only claims its embedded degree, so a higher request is refused."""
+    only claims its embedded degree, so a higher request is refused, and
+    so is a degree below 1, which no map has."""
     digest_ok = _digest(cert) == cert.get("digest")
     fz = certificate_factorization(cert)
     if degree is not None:
+        if degree < 1:
+            raise CertificateError(f"truncation degree must be positive, got {degree}")
         if degree > fz.target.trunc:
             raise CertificateError(
                 f"certificate claims degree {fz.target.trunc}; "

@@ -305,13 +305,53 @@ def test_verify_rejects_non_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_seeds_flag(tmp_path, capsys):
-    g = tmp_path / "g.map"
-    g.write_text("map n=1 N=6 { comp1: { [1]: 1 ; [2]: 1 } }\n")
-    assert main(["factor", str(g), "--seeds", "1,-1"]) == 0
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_verify_refuses_a_degree_below_one(tmp_path, capsys, fmap, degree):
+    # a malformed argument exits 2; exit 1 would read as a tampered certificate
+    cert = tmp_path / "c.json"
+    assert main(["factor", str(fmap), "--out", str(cert)]) == 0
     capsys.readouterr()
-    assert main(["factor", str(g), "--seeds", "1,q"]) == 2
-    assert "bad seed list" in capsys.readouterr().err
+    assert main(["verify", str(cert), f"--truncation={degree}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: truncation degree must be positive, got {degree}\n"
+    assert "certificate BAD" not in captured.out
+
+
+C_MEMBER = (
+    "map n=3 N=6 { comp1: { [1,0,0]: 2 ; [2,1,0]: 1 ; [1,0,1]: 3 } ; "
+    "comp2: { [0,1,0]: 1/2 ; [1,2,0]: 5 ; [0,1,2]: 1 } ; "
+    "comp3: { [0,0,1]: 1 ; [1,1,0]: 1 ; [0,0,2]: 4 } }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "verb, flag, text",
+    [
+        ("factor", "--out", F_TEXT),
+        ("normalize", "--conjugator", F_TEXT),
+        ("split", "--kernel", C_MEMBER),
+    ],
+    ids=["factor", "normalize", "split"],
+)
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, verb, flag, text):
+    # a path the user gave that cannot be written is input, not a bug
+    src = tmp_path / "a.map"
+    src.write_text(text)
+    out = tmp_path / "missing" / "x.out"
+    assert main([verb, str(src), flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "0"], ["--n", "1", "--mode", "involutive"]],
+    ids=["n0", "n1-involutive"],
+)
+def test_bounds_out_of_range_exits_2(capsys, argv):
+    assert main(["bounds", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _redigest(payload):

@@ -189,7 +189,7 @@ def test_involution_pair_checks_witness_kind():
 
 def test_zero_seed_finds_no_conjugacy():
     # the zero map solves g o h = h o g^-1 for every g, but is no reverser;
-    # the command line passes --seeds through unchecked
+    # reverser_search tries the seeds it is given as they are
     g = poly1({1: 1, 2: 1}, 6)
     assert conjugate_to(g, map_invert(g), 0) is None
     assert reverser_search(g, seeds=(ZERO,)) is None

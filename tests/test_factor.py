@@ -43,8 +43,6 @@ from revfactor.factor import (
     certificate,
     certificate_factorization,
     factor_budget,
-    factor_dim1_involutions,
-    factor_dim1_reversibles,
     factor_involutions,
     factor_reversibles,
     format_certificate,
@@ -675,28 +673,28 @@ def test_semiprime_multiplier_factors_quickly():
 
 def test_factor_dim1():
     g = parse_map("map n=1 N=8 { comp1: { [1]: 1 ; [2]: 3 ; [3]: -2 } }")
-    fz = factor_dim1_reversibles(g)
+    fz = factor_reversibles(g)
     assert len(fz.factors) <= 2
     assert fz.recompose() == g
     assert verify_factorization(fz).ok
 
 
 def test_factor_dim1_checks_the_witnesses_it_returns(monkeypatch):
-    # the splitters leave the witness check to the front end, so a wrong
-    # homography reverser cannot come out of it
+    # the splitters leave the witness check to the factor pipeline, so a
+    # wrong homography reverser cannot come out of it
     def wrong(g):
         return Witness("involutive_reverser", dim1.flip(g.trunc), g.trunc)
 
     monkeypatch.setattr(dim1, "mobius_witness", wrong)
     with pytest.raises(AssertionError):
-        factor_dim1_reversibles(dim1.poly1({1: 1, 2: 1, 3: 3}, 6))
+        factor_reversibles(dim1.poly1({1: 1, 2: 1, 3: 3}, 6))
 
 
 def test_factor_dim1_quartic_led_map_shifts():
     # t + t^4 has no reverser, so the split shifts by the standard
     # homography and reverses the cofactor.
     g = dim1.poly1({1: 1, 4: 1}, 8)
-    fz = factor_dim1_reversibles(g)
+    fz = factor_reversibles(g)
     assert len(fz.factors) == 2 <= factor_budget(1, "reversible", False)
     assert verify_factorization(fz).ok
 
@@ -707,7 +705,7 @@ def test_factor_dim1_quartic_led_map_shifts():
     ids=["homography-class", "quartic-led"],
 )
 def test_factor_dim1_involutions_splits(coeffs, count):
-    fz = factor_dim1_involutions(dim1.poly1(coeffs, 6))
+    fz = factor_involutions(dim1.poly1(coeffs, 6))
     assert len(fz.factors) == count
     assert fz.trace == ("one-variable involution split",)
     assert verify_factorization(fz).ok
@@ -715,7 +713,7 @@ def test_factor_dim1_involutions_splits(coeffs, count):
 
 def test_factor_dim1_involutions_keeps_an_involution_whole():
     g = dim1.flip(6)
-    fz = factor_dim1_involutions(g)
+    fz = factor_involutions(g)
     assert [f.map for f in fz.factors] == [g]
     assert fz.trace == ("already an involution",)
     assert verify_factorization(fz).ok
@@ -724,7 +722,7 @@ def test_factor_dim1_involutions_keeps_an_involution_whole():
 def test_factor_dim1_involutions_refuses_multiplier_minus_one():
     # -t + t^2 squares to t - 2t^3 + t^4, so it is no involution either
     with pytest.raises(FactorObstruction):
-        factor_dim1_involutions(dim1.poly1({1: -1, 2: 1}, 6))
+        factor_involutions(dim1.poly1({1: -1, 2: 1}, 6))
 
 
 @pytest.mark.parametrize("factor", [factor_reversibles, factor_involutions])
@@ -1142,6 +1140,21 @@ PINNED_CERTIFICATES = [
      "beb95e232eb21ac9255161d34c23658b3a1ce20246b9c90dce592146a84603cb"),
     ("inv-i-r3", "involutive", I_R3,
      "3a327dc41769a3f9ec6bbe79321b57b456e84e7115738a701b39d27531ba7e47"),
+    # one variable, the base case: the quadratic-led, cubic-led, shift
+    # and flip splits, and in involutive mode a four-involution split and
+    # an involution kept whole
+    ("rev-n1-quadratic-led", "reversible", "map n=1 N=6 { comp1: { [1]: 1 ; [2]: 1 ; [3]: 3 } }",
+     "a03796b2a8bad6772674f5d9148bcdf18af413903b0d0aa5f6da719b39d94878"),
+    ("rev-n1-cubic-led", "reversible", "map n=1 N=6 { comp1: { [1]: 1 ; [3]: 1 ; [4]: 1 } }",
+     "ded67f8d14605ae5189b258664fd580f4e12053fa198ea1cd51e9998775af4f4"),
+    ("rev-n1-quartic-led-N8", "reversible", "map n=1 N=8 { comp1: { [1]: 1 ; [4]: 1 } }",
+     "1b5cb45eebbe74fdae7b01e175aa81450b6e1a089c687738a0a4bd253756ea65"),
+    ("rev-n1-flip-split", "reversible", "map n=1 N=6 { comp1: { [1]: -1 ; [3]: 1 } }",
+     "b745af41091e901ec91bcbb266417851a1aa7140a95050f3ce4c323330f31e4b"),
+    ("inv-n1-quartic-led", "involutive", "map n=1 N=6 { comp1: { [1]: 1 ; [4]: 2 } }",
+     "c55969774c04286c1b1e96ed589f6f948c09aeef63728b81532e42d7e504d03f"),
+    ("inv-n1-flip", "involutive", "map n=1 N=6 { comp1: { [1]: -1 } }",
+     "268a8ad548f2de8c0223eb227a5d7ae30d689c64b7ca70caf3441af1b34ffb57"),
 ]
 
 
@@ -1158,8 +1171,12 @@ def test_certificate_bytes_are_pinned(mode, text, sha):
 # made, before any conjugation: the split and its checks meet only the
 # undressed pieces, and a conjugation dresses only involutions.
 # The i*r3 map is a paired-centralizer member, split directly with no
-# conjugation, so nothing dresses its factors.
-INVOLUTIVE_PINS = [c for c in PINNED_CERTIFICATES if c[1] == "involutive" and c[0] != "inv-i-r3"]
+# conjugation, and a one-variable map is never conjugated, so nothing
+# dresses their factors.
+INVOLUTIVE_PINS = [
+    c for c in PINNED_CERTIFICATES
+    if c[1] == "involutive" and c[0] != "inv-i-r3" and not c[0].startswith("inv-n1-")
+]
 
 
 def _dressing_spy(monkeypatch, change=None):
